@@ -51,7 +51,7 @@ from .experiments import (
     run_all,
 )
 from .parallel import ParallelRunError, resolve_jobs
-from .robustness import BUDGET_PROFILES, Budget, budget_from_profile
+from .robustness import BUDGET_PROFILES, Budget, RetryPolicy, budget_from_profile
 
 __all__ = ["main"]
 
@@ -281,7 +281,7 @@ def _cmd_tables(args, engine: Engine) -> int:
                 jobs=args.jobs,
                 checkpoint_dir=args.checkpoint_dir,
                 resume=args.resume,
-                max_retries=args.max_retries,
+                retry_policy=RetryPolicy(max_retries=args.max_retries),
                 timeout=args.timeout,
                 budget=_build_budget(args),
                 shards=args.shards,
@@ -493,8 +493,6 @@ def _submit_params(args) -> dict:
     if args.p0_min_faults:
         params["p0_min_faults"] = args.p0_min_faults
     if args.max_retries is not None:
-        from .robustness import RetryPolicy
-
         params["retry"] = RetryPolicy(max_retries=args.max_retries).spec()
     return {key: value for key, value in params.items() if value is not None}
 
@@ -777,15 +775,17 @@ def build_parser() -> argparse.ArgumentParser:
         type=_nonnegative_int_arg,
         default=1,
         metavar="N",
-        help="extra attempts per circuit after a worker failure (default 1)",
+        help="extra attempts per job after a failure, stall or overrun, "
+        "with exponential backoff (default 1)",
     )
     p_tables.add_argument(
         "--timeout",
         type=_positive_float_arg,
         default=None,
         metavar="SECONDS",
-        help="per-circuit wall-clock budget on the pool path "
-        "(default: unlimited)",
+        help="per-job wall-clock budget: a job degrades at its deadline, "
+        "and a pool job still running 1.25x + 1s after it started is "
+        "killed (default: unlimited)",
     )
     p_tables.add_argument(
         "--journal",

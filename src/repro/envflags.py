@@ -9,8 +9,7 @@ The hot kernels consult three knobs:
 * ``REPRO_BACKEND=<name>`` -- simulation backend for the justifier's
   candidate screening: ``numpy`` (default, the int8 level kernel) or
   ``packed`` (2-bit {0,1,x} codes packed 32 columns per uint64 word, see
-  :mod:`repro.sim.packed`).  ``native`` is a reserved name for a future
-  compiled backend and raises :class:`NotImplementedError` until it lands.
+  :mod:`repro.sim.packed`).
 
 The engine layer consults one more:
 
@@ -57,7 +56,7 @@ BACKEND_ENV = "REPRO_BACKEND"
 #: Directory of the persistent artifact cache (default: disabled).
 ARTIFACT_CACHE_ENV = "REPRO_ARTIFACT_CACHE"
 
-#: Implemented backends, in preference order.  "native" is reserved.
+#: Implemented backends, in preference order.
 BACKENDS = ("numpy", "packed")
 
 _TRUTHY = ("1", "true", "yes", "on")
@@ -87,20 +86,12 @@ def full_sim_requested() -> bool:
 def simulation_backend() -> str:
     """The ``REPRO_BACKEND`` selection, validated ("numpy" when unset).
 
-    ``native`` is a documented stub: the seam reserves the name for a
-    compiled (C/SIMD) kernel so scripts can already spell the request, but
-    selecting it raises :class:`NotImplementedError` until it exists.
     Unknown names raise :class:`ValueError` -- a typo must not silently
     fall back to the default backend.
     """
     raw = _env_value(BACKEND_ENV)
     if not raw:
         return "numpy"
-    if raw == "native":
-        raise NotImplementedError(
-            f"{BACKEND_ENV}=native is reserved for a future compiled backend; "
-            f"use one of {BACKENDS}"
-        )
     if raw not in BACKENDS:
         raise ValueError(f"unknown {BACKEND_ENV}={raw!r}; expected one of {BACKENDS}")
     return raw

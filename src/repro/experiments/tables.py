@@ -30,12 +30,13 @@ from ..atpg.enrich import EnrichmentReport
 from ..engine import CircuitSession, Engine
 from ..faults.fault import faults_of_paths
 from ..parallel import (
+    DEFAULT_HEARTBEAT_INTERVAL,
+    DEFAULT_STALE_AFTER,
     CircuitJob,
     FaultShardJob,
     ParallelRunner,
     RunCheckpoint,
     merge_shard_results,
-    resolve_jobs,
 )
 from ..paths.lengths import length_table_for_faults
 from ..robustness import Budget, RetryPolicy
@@ -197,33 +198,18 @@ def run_basic_experiments(
     circuits: Sequence[str] = TABLE3_CIRCUITS,
     heuristics: Sequence[str] = HEURISTICS,
     engine: Engine | None = None,
-    jobs: int | None = 1,
-    max_retries: int = 1,
-    timeout: float | None = None,
     budget: Budget | None = None,
 ) -> dict[str, CircuitBasicResult]:
     """Run the basic procedure for every circuit x heuristic (Tables 3-5).
 
-    ``jobs`` fans circuits out over :class:`repro.parallel.ParallelRunner`
-    (``None`` = all CPUs); results are keyed in ``circuits`` order either
-    way and identical to the serial path up to wall-clock fields.
-    ``max_retries``/``timeout`` configure the runner's fault tolerance;
-    ``budget`` caps per-fault resources (see :mod:`repro.robustness`) --
-    faults it denies a verdict come back ``aborted`` instead of failing
-    the sweep.
+    Circuits run in-process on ``engine``, keyed in ``circuits`` order
+    (:func:`run_all` is the parallel, fault-tolerant sweep).  ``budget``
+    caps per-fault resources (see :mod:`repro.robustness`) -- faults it
+    denies a verdict come back ``aborted`` instead of failing the sweep.
     """
     scale = get_scale(scale)
     engine = engine or Engine()
     engine.budget = _resolve_budget(engine, budget)
-    if resolve_jobs(jobs) > 1 and len(circuits) > 1:
-        runner = ParallelRunner(
-            jobs, engine=engine, max_retries=max_retries, timeout=timeout
-        )
-        outcomes = runner.run(
-            CircuitJob(name, scale, tuple(heuristics), run_basic=True)
-            for name in circuits
-        )
-        return {result.circuit: result.basic for result in outcomes}
     return {
         name: run_basic_circuit(engine.session(name), scale, heuristics)
         for name in circuits
@@ -271,30 +257,18 @@ def run_table6(
     scale: str | ExperimentScale = "default",
     circuits: Sequence[str] = TABLE6_CIRCUITS,
     engine: Engine | None = None,
-    jobs: int | None = 1,
-    max_retries: int = 1,
-    timeout: float | None = None,
     budget: Budget | None = None,
 ) -> list[Table6Row]:
     """The proposed enrichment procedure on each circuit (Table 6).
 
-    ``jobs`` fans circuits out over :class:`repro.parallel.ParallelRunner`
-    (``None`` = all CPUs); rows come back in ``circuits`` order either way.
-    ``max_retries``/``timeout`` configure the runner's fault tolerance;
+    Circuits run in-process on ``engine``; rows come back in ``circuits``
+    order (:func:`run_all` is the parallel, fault-tolerant sweep).
     ``budget`` enables graceful degradation (aborted faults are reported
     in each row instead of failing the sweep).
     """
     scale = get_scale(scale)
     engine = engine or Engine()
     engine.budget = _resolve_budget(engine, budget)
-    if resolve_jobs(jobs) > 1 and len(circuits) > 1:
-        runner = ParallelRunner(
-            jobs, engine=engine, max_retries=max_retries, timeout=timeout
-        )
-        outcomes = runner.run(
-            CircuitJob(name, scale, run_table6=True) for name in circuits
-        )
-        return [result.table6 for result in outcomes]
     return [run_table6_circuit(engine.session(name), scale) for name in circuits]
 
 
@@ -311,15 +285,14 @@ def run_all(
     jobs: int | None = 1,
     checkpoint_dir: str | None = None,
     resume: bool = False,
-    max_retries: int = 1,
     timeout: float | None = None,
     budget: Budget | None = None,
     shards: int | None = None,
     shard_min_faults: int = 1,
     retry_policy: "RetryPolicy | None" = None,
     heartbeat_dir: str | None = None,
-    heartbeat_interval: float | None = None,
-    stale_after: float | None = None,
+    heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
+    stale_after: float = DEFAULT_STALE_AFTER,
 ) -> ExperimentResults:
     """Regenerate the data behind every table of the paper.
 
@@ -340,8 +313,7 @@ def run_all(
     of recomputed -- the merged output is ``canonical_json``-identical to
     an uninterrupted run.  Without ``resume``, an existing checkpoint
     directory is cleared first (a fresh run must not inherit stale
-    files).  ``max_retries``/``timeout`` are the runner's fault-tolerance
-    knobs; a circuit that still fails after its retries raises
+    files).  A circuit that still fails after its retries raises
     :class:`repro.parallel.ParallelRunError` with every completed
     circuit's result salvaged (and checkpointed, when enabled).
 
@@ -363,16 +335,22 @@ def run_all(
     ``shard_min_faults`` collapses the plan for small circuits: a
     circuit never uses more shards than ``|P0| // shard_min_faults``.
 
-    ``retry_policy`` supersedes ``max_retries`` with a full backoff
-    policy, and ``heartbeat_dir``/``heartbeat_interval``/``stale_after``
-    enable the runner's per-job heartbeats and stuck-worker watchdog
-    (see :class:`repro.parallel.ParallelRunner`) -- the supervision
-    hooks the ``repro serve`` daemon threads through here.
+    The remaining arguments configure the one
+    :class:`repro.parallel.ParallelRunner` that runs the sweep (see it
+    for details).  ``retry_policy`` (default: one retry with backoff)
+    governs every retry.  ``timeout`` is a per-job wall-clock budget:
+    a job degrades cooperatively at its deadline, and the watchdog kills
+    a pool job still running ``timeout * 1.25 + 1`` seconds after it
+    started.  Pool workers always write heartbeats, into
+    ``heartbeat_dir`` (default: a temporary directory per run) every
+    ``heartbeat_interval`` seconds; a started job silent for
+    ``stale_after`` seconds is killed as stuck.  Only the killed job is
+    charged an attempt.  The ``repro serve`` daemon threads its
+    supervision settings through here.
     """
     scale = get_scale(scale)
     engine = engine or Engine()
     engine.budget = _resolve_budget(engine, budget)
-    n_jobs = resolve_jobs(jobs)
     if shards is not None and shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     if shard_min_faults < 1:
@@ -396,21 +374,14 @@ def run_all(
     ordered = basic_names + [
         name for name in table6_names if name not in basic_names
     ]
-    supervision: dict = {}
-    if retry_policy is not None:
-        supervision["retry_policy"] = retry_policy
-    if heartbeat_dir is not None:
-        supervision["heartbeat_dir"] = heartbeat_dir
-    if heartbeat_interval is not None:
-        supervision["heartbeat_interval"] = heartbeat_interval
-    if stale_after is not None:
-        supervision["stale_after"] = stale_after
     runner = ParallelRunner(
-        n_jobs,
+        jobs,
         engine=engine,
-        max_retries=max_retries,
         timeout=timeout,
-        **supervision,
+        retry_policy=retry_policy,
+        heartbeat_dir=heartbeat_dir,
+        heartbeat_interval=heartbeat_interval,
+        stale_after=stale_after,
     )
     if shards is not None:
         shard_jobs = [

@@ -1,7 +1,8 @@
 """Parallel execution layer: per-circuit fan-out over a process pool,
 intra-circuit fault sharding with deterministic merge, retry/salvage
-fault tolerance with backoff, per-job heartbeats with a stuck-worker
-watchdog, and checkpoint/resume persistence."""
+fault tolerance with backoff, always-on per-job heartbeats with the
+watchdog that is the runner's only kill path (stuck or overdue jobs),
+and checkpoint/resume persistence."""
 
 from .checkpoint import RunCheckpoint
 from .heartbeat import (

@@ -2,32 +2,33 @@
 
 A pool worker that crashes announces itself (the future raises
 ``BrokenProcessPool``); a worker that *hangs* -- stuck in a syscall, a
-pathological kernel call, a livelock -- announces nothing.  PR 5's hard
-timeout backstop treats every silent window as fatal for *all*
-outstanding jobs, because without liveness data it cannot tell a stuck
-worker from a slow-but-healthy one.  Heartbeats supply that data:
+pathological kernel call, a livelock -- or simply overruns its deadline
+announces nothing.  Heartbeats supply the missing liveness data, and the
+watchdog is the parallel runner's only kill path:
 
 * :class:`HeartbeatWriter` runs a daemon thread inside the worker that
   touches one file per job key (``<dir>/<safe-key>.hb``) every
-  ``interval`` seconds while the job body runs.  Writing is a single
-  ``os.utime``/create -- atomic enough that the watchdog only ever
-  observes an mtime;
-* :class:`Watchdog` classifies outstanding jobs by heartbeat age:
+  ``interval`` seconds while the job body runs.  The first, synchronous
+  beat writes the attempt's start time into the file; later beats only
+  bump its mtime;
+* :class:`Watchdog` classifies outstanding jobs by those two clocks:
   a job whose file is younger than ``stale_after`` is *alive* (keep
   waiting), one whose file exists but has gone silent for longer is
-  *stuck* (kill and retry), and one with no file yet never started
-  (it is queued behind other work in the pool backlog -- not stuck).
+  *stuck*, one that started more than ``overdue_after`` seconds ago is
+  *overdue* (both: kill and retry), and one with no file yet never
+  started (it is queued behind other work in the pool backlog -- not
+  stuck, not overdue).
 
 The writer half is deliberately dependency-free so ``_pool_entry`` can
-start it before any engine work, and the watchdog half is pure mtime
-arithmetic so the service supervisor can also point it at a daemon's
-own heartbeat file.
+start it before any engine work, and the watchdog half is pure file
+arithmetic.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,11 +66,13 @@ class HeartbeatWriter:
         with HeartbeatWriter(path, interval=1.0):
             ...  # the file's mtime now advances every second
 
-    The first beat is written synchronously on ``__enter__`` (so a job
-    that dies instantly still leaves evidence it *started*), then a
-    daemon thread keeps beating until ``__exit__``.  Beats degrade
-    silently on OSError -- a full disk must not fail the job itself; the
-    watchdog will conservatively read the silence as stuck and retry.
+    The first beat is written synchronously on ``__enter__`` and records
+    the attempt's start time as the file's content (so a job that dies
+    instantly still leaves evidence it *started*, and the watchdog can
+    tell when it did), then a daemon thread keeps beating until
+    ``__exit__``.  Beats degrade silently on OSError -- a full disk must
+    not fail the job itself; the watchdog will conservatively read the
+    silence as stuck and retry.
     """
 
     def __init__(self, path: str | Path, interval: float = DEFAULT_HEARTBEAT_INTERVAL) -> None:
@@ -77,16 +80,20 @@ class HeartbeatWriter:
             raise ValueError(f"interval must be > 0, got {interval}")
         self.path = Path(path)
         self.interval = float(interval)
+        self.started: float | None = None
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
     def beat(self) -> None:
-        """Write one heartbeat now (create the file or bump its mtime)."""
+        """Write one heartbeat now: the first records the start time,
+        later ones bump the file's mtime."""
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a"):
-                pass
-            os.utime(self.path)
+            if self.started is None:
+                self.started = time.time()
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self.path.write_text(f"{self.started!r}\n")
+            else:
+                os.utime(self.path)
         except OSError:
             pass
 
@@ -111,14 +118,17 @@ class HeartbeatWriter:
 
 @dataclass(frozen=True)
 class Watchdog:
-    """Classifies supervised jobs by heartbeat age.
+    """Classifies supervised jobs by heartbeat age and run time.
 
-    ``stale_after`` is the silence threshold in seconds; ``directory``
-    is where the workers' :class:`HeartbeatWriter` files live.
+    ``stale_after`` is the silence threshold in seconds; ``overdue_after``
+    (``None`` = never) is how long a started job may run in total;
+    ``directory`` is where the workers' :class:`HeartbeatWriter` files
+    live.
     """
 
     directory: Path
     stale_after: float = DEFAULT_STALE_AFTER
+    overdue_after: float | None = None
 
     def __post_init__(self) -> None:
         if self.stale_after <= 0:
@@ -138,14 +148,30 @@ class Watchdog:
             return None
         return max(0.0, now - mtime)
 
+    def started(self, key: str) -> float | None:
+        """Epoch start time of ``key``'s attempt, ``None`` when never
+        started (or the first beat is still being written)."""
+        try:
+            return float(heartbeat_path(self.directory, key).read_text())
+        except (OSError, ValueError):
+            return None
+
     def is_stuck(self, key: str, now: float) -> bool:
         """True when ``key`` started beating and then went silent too long."""
         age = self.age(key, now)
         return age is not None and age > self.stale_after
 
+    def is_overdue(self, key: str, now: float) -> bool:
+        """True when ``key`` started more than ``overdue_after`` seconds ago."""
+        if self.overdue_after is None:
+            return False
+        started = self.started(key)
+        return started is not None and now - started > self.overdue_after
+
     def classify(self, keys: list[str], now: float) -> tuple[list[str], list[str]]:
-        """Split ``keys`` into ``(alive_or_unstarted, stuck)``."""
-        alive, stuck = [], []
+        """Split ``keys`` into ``(alive_or_unstarted, stuck_or_overdue)``."""
+        alive, dead = [], []
         for key in keys:
-            (stuck if self.is_stuck(key, now) else alive).append(key)
-        return alive, stuck
+            failing = self.is_stuck(key, now) or self.is_overdue(key, now)
+            (dead if failing else alive).append(key)
+        return alive, dead

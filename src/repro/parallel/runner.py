@@ -33,29 +33,30 @@ Fault tolerance
 A multi-circuit sweep costs tens of CPU-minutes; one crashed worker must
 not discard every finished circuit.  Workers therefore never propagate
 exceptions: job bodies run guarded and ship back a structured
-:class:`JobFailure` (circuit, phase, traceback).  The runner applies a
-:class:`~repro.robustness.RetryPolicy` (``max_retries`` extra attempts
-per job with exponential backoff, jitter and a delay cap -- immediate
-hot-loop resubmission is gone; waits are recorded under the
-``parallel.retry_wait_seconds`` timer), treats a completion-free window
-longer than ``timeout`` seconds as a timeout of every outstanding job,
-and falls back to in-process execution when the pool machinery itself
-breaks (``BrokenProcessPool`` -- e.g. a worker OOM-killed or SIGKILLed
-mid-job).  Only after every retry is exhausted does it raise a single
-aggregated :class:`ParallelRunError` carrying all salvaged results.
-Retries, timeouts, fallbacks and failures are recorded on the parent
-engine's stats under ``parallel.*`` counters.
+:class:`JobFailure` (circuit, phase, traceback).  One
+:class:`~repro.robustness.RetryPolicy` governs every retry (its
+``max_retries`` extra attempts per job, exponential backoff, jitter and
+a delay cap; waits are recorded under the ``parallel.retry_wait_seconds``
+timer).  Only after every retry is exhausted does the runner raise a
+single aggregated :class:`ParallelRunError` carrying all salvaged
+results.  Retries, timeouts, fallbacks and failures are recorded on the
+parent engine's stats under ``parallel.*`` counters.
 
-With ``heartbeat_dir`` set, every pool worker additionally proves
-liveness through a per-job heartbeat file
-(:class:`~repro.parallel.heartbeat.HeartbeatWriter`), and a
-:class:`~repro.parallel.heartbeat.Watchdog` distinguishes *stuck*
-workers (started beating, then silent past ``stale_after``) from merely
-slow ones: stuck jobs are killed and retried (``phase="stuck"``,
-``parallel.stuck`` counter) while healthy in-flight neighbours are
-re-queued without consuming an attempt.  Crashed workers keep their own
-signature (``BrokenProcessPool``), so the supervision layer above can
-tell the three failure modes apart.
+Every pool worker proves liveness through a per-job heartbeat file
+(:class:`~repro.parallel.heartbeat.HeartbeatWriter`) whose first beat
+records the attempt's start time, and a
+:class:`~repro.parallel.heartbeat.Watchdog` reading those files is the
+runner's only kill path.  A job that started beating and then went
+silent past ``stale_after`` is *stuck* (``phase="stuck"``,
+``parallel.stuck``); a job still running ``timeout * 1.25 + 1`` seconds
+after it started is *overdue* (``phase="timeout"``,
+``parallel.timeouts``).  Either way only that job is killed and charged
+an attempt; in-flight and backlog neighbours are re-queued without
+consuming one.  Crashed workers keep their own signature
+(``BrokenProcessPool``): the remaining jobs fall back to in-process
+execution, and a job whose beat file proves it had started is charged
+one attempt for the crash.  The supervision layer above can thus tell
+the three failure modes apart.
 
 Passing a :class:`~repro.parallel.checkpoint.RunCheckpoint` to
 :meth:`ParallelRunner.run` additionally persists every finished result
@@ -69,6 +70,7 @@ from __future__ import annotations
 
 import os
 import signal
+import tempfile
 import time
 import traceback as _tb
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -205,7 +207,7 @@ class JobFailure:
     the exception propagate, so one bad circuit cannot abort the sweep
     and the parent still learns *where* it died: ``phase`` is the
     pipeline stage (``inject``/``session``/``basic``/``table6``/
-    ``shard``) or the runner-level cause (``timeout``/``pool``).
+    ``shard``) or the runner-level cause (``timeout``/``stuck``/``pool``).
     ``circuit`` holds the failing job's *key* -- the circuit name for
     circuit jobs, ``circuit#shard`` for fault shards.
     """
@@ -414,22 +416,22 @@ def _effective_budget(
 def _pool_entry(
     job: "Job",
     attempt: int,
-    budget: Budget | None = None,
-    timeout: float | None = None,
-    artifact_cache: str | None = None,
-    heartbeat_dir: str | None = None,
-    heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
+    heartbeat_dir: str,
+    heartbeat_interval: float,
+    budget: Budget | None,
+    timeout: float | None,
+    artifact_cache: str | None,
 ) -> "CircuitJobResult | ShardJobResult | JobFailure":
     """Guarded pool-worker entry point: never raises, ships stats back.
 
     A budget (run budget and/or per-job ``timeout``) is applied
     *cooperatively*: the worker's engine carries it into every session,
     so deadline expiry degrades the job into a partial result that is
-    still shipped back and checkpointed -- unlike the parent's hard pool
-    timeout, which discards the job.  While a budget is active, SIGTERM
-    cancels it instead of killing the worker, so an orderly shutdown
-    (e.g. a cluster preemption that signals before SIGKILL) also
-    salvages the partial result.
+    still shipped back and checkpointed -- unlike the parent's watchdog
+    kill of an overdue job, which discards it.  While a budget is
+    active, SIGTERM cancels it instead of killing the worker, so an
+    orderly shutdown (e.g. a cluster preemption that signals before
+    SIGKILL) also salvages the partial result.
 
     ``artifact_cache`` is the parent engine's persistent artifact store
     directory, forwarded in the job payload so every worker of a sharded
@@ -437,9 +439,10 @@ def _pool_entry(
     shared enumeration instead of recomputing it N times.  ``None``
     still honours ``REPRO_ARTIFACT_CACHE`` via the fresh engine.
 
-    With ``heartbeat_dir`` set, a :class:`HeartbeatWriter` thread proves
-    this worker's liveness under the job's key for the whole job body,
-    so the parent's watchdog can tell a stuck worker from a slow one.
+    A :class:`HeartbeatWriter` thread in ``heartbeat_dir`` records the
+    attempt's start time and proves this worker's liveness under the
+    job's key for the whole job body, so the parent's watchdog can tell
+    a stuck or overdue worker from a slow one.
     """
     engine = Engine(
         artifacts=ArtifactStore(artifact_cache) if artifact_cache else None
@@ -455,15 +458,10 @@ def _pool_entry(
             )
         except (ValueError, OSError):  # non-main thread / unsupported platform
             previous_handler = None
-    heartbeat = (
-        HeartbeatWriter(
-            heartbeat_path(heartbeat_dir, job.key), heartbeat_interval
-        )
-        if heartbeat_dir
-        else nullcontext()
-    )
     try:
-        with heartbeat:
+        with HeartbeatWriter(
+            heartbeat_path(heartbeat_dir, job.key), heartbeat_interval
+        ):
             outcome = _run_job_guarded(job, engine, attempt, in_worker=True)
     finally:
         if previous_handler is not None:
@@ -492,37 +490,36 @@ class ParallelRunner:
     engine:
         The parent engine.  In-process jobs run directly on it; pool
         workers build their own and their stats are merged back into it.
-    max_retries:
-        Extra attempts per job after its first failure (default 1).
-        Shorthand for ``retry_policy=RetryPolicy(max_retries=...)``.
     retry_policy:
-        Full :class:`~repro.robustness.RetryPolicy` (backoff curve,
-        jitter, cap) governing the waits between attempts.  When given
-        it takes precedence over ``max_retries``.  Waits land on the
+        The :class:`~repro.robustness.RetryPolicy` governing every retry:
+        its ``max_retries`` extra attempts per job and the backoff curve,
+        jitter and cap of the waits between them (default
+        ``RetryPolicy()``: one retry).  Waits land on the
         ``parallel.retry_wait_seconds`` stats timer.
     heartbeat_dir:
-        Directory where pool workers write per-job heartbeat files.
-        Enables the watchdog: a job that started beating and then went
-        silent for ``stale_after`` seconds is declared *stuck*, its
-        workers are terminated, and it is retried (consuming an
-        attempt); healthy in-flight neighbours are re-queued without
-        consuming one.  ``None`` (default) disables heartbeats -- the
-        pre-supervision behaviour.
+        Directory where pool workers write per-job heartbeat files
+        (default: a temporary directory per run).  Heartbeats are always
+        on in the pool path; the watchdog reading them is the only kill
+        path.  A job that started beating and then went silent for
+        ``stale_after`` seconds is *stuck*; its workers are terminated
+        and it is retried (consuming an attempt), while healthy
+        in-flight and backlog neighbours are re-queued without
+        consuming one.
     heartbeat_interval / stale_after:
         Beat period and silence threshold in seconds (defaults
         :data:`~repro.parallel.heartbeat.DEFAULT_HEARTBEAT_INTERVAL` /
         :data:`~repro.parallel.heartbeat.DEFAULT_STALE_AFTER`).
     timeout:
         Optional per-job wall-clock budget in seconds.  Enforced
-        *cooperatively* first: each job attempt runs under a
+        *cooperatively*: each job attempt runs under a
         :class:`~repro.robustness.Budget` whose deadline is ``timeout``,
         so an overrunning circuit degrades into a partial result
         (aborted faults reported) that is still returned and
-        checkpointed -- on the pool path *and* in-process.  The pool
-        additionally keeps a hard backstop: when no job completes for
+        checkpointed -- on the pool path *and* in-process.  On the pool
+        path the watchdog also declares a job *overdue* once it has run
         ``timeout * 1.25 + 1`` seconds (grace for jobs that salvage
-        close to the deadline), every outstanding job is marked timed
-        out and its result discarded.  The backstop catches
+        close to the deadline): it is killed and charged an attempt
+        like a stuck job, with phase ``"timeout"``.  This catches
         non-cooperative stalls (a worker stuck in a syscall or a C
         kernel) that the cooperative deadline cannot interrupt.
     budget:
@@ -536,35 +533,25 @@ class ParallelRunner:
         self,
         jobs: int | None = None,
         engine: Engine | None = None,
-        max_retries: int = 1,
         timeout: float | None = None,
         budget: Budget | None = None,
         retry_policy: RetryPolicy | None = None,
         heartbeat_dir: "str | Path | None" = None,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-        stale_after: float | None = None,
+        stale_after: float = DEFAULT_STALE_AFTER,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         self.engine = engine if engine is not None else Engine()
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        self.retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy(max_retries=int(max_retries))
-        )
-        self.max_retries = self.retry_policy.max_retries
+        self.retry_policy = retry_policy or RetryPolicy()
         self.heartbeat_dir = str(heartbeat_dir) if heartbeat_dir else None
         if heartbeat_interval <= 0:
             raise ValueError(
                 f"heartbeat_interval must be > 0, got {heartbeat_interval}"
             )
         self.heartbeat_interval = float(heartbeat_interval)
-        if stale_after is not None and stale_after <= 0:
+        if stale_after <= 0:
             raise ValueError(f"stale_after must be > 0, got {stale_after}")
-        self.stale_after = (
-            float(stale_after) if stale_after is not None else DEFAULT_STALE_AFTER
-        )
+        self.stale_after = float(stale_after)
         self._retry_counts: dict[str, int] = {}
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
@@ -675,40 +662,36 @@ class ParallelRunner:
             time.sleep(delay)
 
     def _attempt_serial(
-        self, job: "Job", failures: list[JobFailure]
+        self, job: "Job", failures: list[JobFailure], attempt: int = 0
     ) -> "CircuitJobResult | ShardJobResult | None":
-        """In-process execution with the retry policy applied.
+        """In-process execution with the retry policy applied, starting
+        at ``attempt`` (the broken-pool fallback continues each job's
+        attempt count instead of restarting it).
 
         The per-job cooperative budget applies here too (installed on
         the engine for the duration of the attempt), so ``--timeout``
         and run budgets work at ``--jobs 1`` -- degradation instead of
         the pool path's preemption.
         """
-        last: JobFailure | None = None
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                self._count_retry(job)
-                self._backoff(self.retry_policy.delay(attempt, job.key))
+        while True:
             effective = _effective_budget(self.budget, self.timeout, job)
-            if effective is None:
+            previous = self.engine.budget
+            if effective is not None:
+                self.engine.budget = effective.start()
+            try:
                 outcome = _run_job_guarded(
                     job, self.engine, attempt, in_worker=False
                 )
-            else:
-                previous = self.engine.budget
-                self.engine.budget = effective.start()
-                try:
-                    outcome = _run_job_guarded(
-                        job, self.engine, attempt, in_worker=False
-                    )
-                finally:
-                    self.engine.budget = previous
+            finally:
+                self.engine.budget = previous
             if not isinstance(outcome, JobFailure):
                 return outcome
-            last = outcome
-        assert last is not None
-        failures.append(last)
-        return None
+            if attempt >= self.retry_policy.max_retries:
+                failures.append(outcome)
+                return None
+            attempt += 1
+            self._count_retry(job)
+            self._backoff(self.retry_policy.delay(attempt, job.key))
 
     def _run_serial(
         self,
@@ -731,87 +714,81 @@ class ParallelRunner:
         failures: list[JobFailure],
         checkpoint: "RunCheckpoint | None",
     ) -> None:
-        queue: "list[tuple[Job, int]]" = [(job, 0) for job in jobs]
-        while queue:
-            failed, timed_out, unfinished, broken = self._pool_round(
-                queue, results, checkpoint
+        beats = (
+            nullcontext(self.heartbeat_dir)
+            if self.heartbeat_dir
+            else tempfile.TemporaryDirectory(
+                prefix="repro-heartbeats-", ignore_cleanup_errors=True
             )
-            queue = []
-            retried: "list[tuple[Job, int]]" = []
-            for job, attempt, failure in failed:
-                if attempt < self.max_retries:
-                    self._count_retry(job)
-                    retried.append((job, attempt + 1))
-                else:
-                    failures.append(failure)
-            for job, attempt, phase in timed_out:
-                if phase == "stuck":
-                    self.engine.stats.count("parallel.stuck")
-                    message = (
-                        f"no heartbeat within {self.stale_after}s"
-                    )
-                else:
-                    self.engine.stats.count("parallel.timeouts")
-                    message = f"no completion within {self.timeout}s"
-                if attempt < self.max_retries:
-                    self._count_retry(job)
-                    retried.append((job, attempt + 1))
-                else:
-                    failures.append(
-                        JobFailure(
-                            circuit=job.key,
-                            phase=phase,
-                            error="TimeoutError",
-                            message=message,
-                            attempt=attempt,
+        )
+        with beats as directory:
+            # The overdue mark leaves the cooperative deadline headroom to
+            # salvage a partial result: a worker that trips its budget at
+            # ~timeout still needs to finish the in-flight seam and ship
+            # the result back before the watchdog gives up on it.
+            watchdog = Watchdog(
+                Path(directory),
+                self.stale_after,
+                self.timeout * 1.25 + 1.0 if self.timeout is not None else None,
+            )
+            queue: "list[tuple[Job, int]]" = [(job, 0) for job in jobs]
+            while queue:
+                failed, unfinished, broken = self._pool_round(
+                    queue, results, checkpoint, watchdog
+                )
+                retried: "list[tuple[Job, int]]" = []
+                for job, attempt, failure in failed:
+                    if attempt < self.retry_policy.max_retries:
+                        self._count_retry(job)
+                        retried.append((job, attempt + 1))
+                    else:
+                        failures.append(failure)
+                if retried:
+                    # One paced wait covers the whole retry batch: the
+                    # longest backoff among them (per-job sleeps would
+                    # serialize an otherwise-parallel round).
+                    self._backoff(
+                        max(
+                            self.retry_policy.delay(attempt, job.key)
+                            for job, attempt in retried
                         )
                     )
-            if broken:
+                if not broken:
+                    # Neighbours of a watchdog kill rerun at their
+                    # *current* attempt (they did nothing wrong).
+                    queue = unfinished + retried
+                    continue
                 # The pool machinery itself died (a worker was killed
                 # mid-job); a new pool over the same jobs would face the
                 # same hazard, so finish everything left in-process.
                 self.engine.stats.count("parallel.pool_broken")
-                fallback = unfinished + retried
-                self.engine.stats.count("parallel.fallback", len(fallback))
-                for job, _attempt in unfinished:
-                    # With heartbeats on, a beat file proves this job had
-                    # started when the pool died: its in-process rerun is
-                    # a genuine second attempt, recorded as a retry so
-                    # the journal shows the crash was recovered.  Jobs
-                    # still in the backlog (no beat) never ran and are
-                    # not charged.
-                    if self.heartbeat_dir and heartbeat_path(
-                        self.heartbeat_dir, job.key
-                    ).exists():
+                self.engine.stats.count(
+                    "parallel.fallback", len(unfinished) + len(retried)
+                )
+                fallback: "list[tuple[Job, int]]" = []
+                for job, attempt in unfinished:
+                    # A beat file proves this job had started when the
+                    # pool died: its in-process rerun is its next
+                    # attempt, charged once so the journal shows the
+                    # crash was recovered.  Backlog jobs never ran.
+                    if heartbeat_path(directory, job.key).exists():
                         self._count_retry(job)
-                for job, _attempt in fallback:
-                    outcome = self._attempt_serial(job, failures)
+                        attempt += 1
+                    fallback.append((job, attempt))
+                for job, attempt in fallback + retried:
+                    outcome = self._attempt_serial(job, failures, attempt)
                     if outcome is not None:
                         self._record(job, outcome, results, checkpoint)
                 return
-            if retried:
-                # One paced wait covers the whole retry batch: the
-                # longest backoff among them (per-job sleeps would
-                # serialize an otherwise-parallel round).
-                self._backoff(
-                    max(
-                        self.retry_policy.delay(attempt, job.key)
-                        for job, attempt in retried
-                    )
-                )
-            # A stuck neighbour forced the pool down mid-round; healthy
-            # in-flight jobs rerun at their *current* attempt (no retry
-            # consumed -- they did nothing wrong).
-            queue = unfinished + retried
 
     @staticmethod
     def _terminate_workers(pool: ProcessPoolExecutor) -> None:
-        """Kill the workers of a pool the backstop declared stuck.
+        """Kill the workers of a pool the watchdog declared stuck.
 
         Abandoning the pool (``shutdown(wait=False)``) is not enough: the
         interpreter's exit handler still joins the pool machinery, so a
         worker stalled in a syscall would keep the *parent* alive long
-        after the run reported its timeout.  SIGTERM first -- a worker
+        after the run reported its failure.  SIGTERM first -- a worker
         that can still cooperate cancels its budget and dies cleanly --
         then SIGKILL for anything that cannot be reasoned with.
         """
@@ -825,121 +802,93 @@ class ParallelRunner:
             if process.is_alive():
                 process.kill()
 
+    def _kill_failure(
+        self, watchdog: Watchdog, job: "Job", attempt: int, now: float
+    ) -> JobFailure:
+        """The failure charged to a job the watchdog ordered killed."""
+        if watchdog.is_overdue(job.key, now):
+            self.engine.stats.count("parallel.timeouts")
+            phase = "timeout"
+            message = (
+                f"still running {watchdog.overdue_after:g}s after it "
+                f"started (timeout {self.timeout}s)"
+            )
+        else:
+            self.engine.stats.count("parallel.stuck")
+            phase = "stuck"
+            message = f"no heartbeat within {self.stale_after}s"
+        return JobFailure(
+            circuit=job.key,
+            phase=phase,
+            error="TimeoutError",
+            message=message,
+            attempt=attempt,
+        )
+
     def _pool_round(
         self,
         queue: "Sequence[tuple[Job, int]]",
         results: "dict[str, CircuitJobResult | ShardJobResult]",
         checkpoint: "RunCheckpoint | None",
+        watchdog: Watchdog,
     ) -> tuple[
         "list[tuple[Job, int, JobFailure]]",
-        "list[tuple[Job, int, str]]",
         "list[tuple[Job, int]]",
         bool,
     ]:
         """One pool pass over ``queue``; completed results are recorded
         (and checkpointed) eagerly, in completion order.
 
-        ``timed_out`` entries carry the cause as their third element:
-        ``"timeout"`` (the completion-free hard backstop tripped; every
-        outstanding job is charged) or ``"stuck"`` (the watchdog saw that
-        specific job's heartbeat go silent; only it is charged, healthy
-        in-flight neighbours come back in ``unfinished``).
+        Returns ``(failed, unfinished, broken)``.  ``failed`` holds every
+        job charged an attempt this round: a failure its worker reported,
+        or a watchdog kill (phase ``"stuck"`` or ``"timeout"``).
+        ``unfinished`` holds the jobs to rerun at their current attempt:
+        the in-flight and backlog neighbours of a watchdog kill, or
+        everything left when the pool broke.
         """
         failed: "list[tuple[Job, int, JobFailure]]" = []
-        timed_out: "list[tuple[Job, int, str]]" = []
         unfinished: "list[tuple[Job, int]]" = []
         broken = False
-        workers = min(self.jobs, len(queue))
         pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_pool_worker
+            max_workers=min(self.jobs, len(queue)), initializer=_init_pool_worker
         )
         clean = True
-        # The hard wait backstop leaves the cooperative deadline headroom
-        # to salvage a partial result: a worker that trips its budget at
-        # ~timeout still needs to finish the in-flight seam and ship the
-        # result back before the parent gives up on it.
-        wait_timeout = (
-            self.timeout * 1.25 + 1.0 if self.timeout is not None else None
-        )
-        watchdog = (
-            Watchdog(Path(self.heartbeat_dir), self.stale_after)
-            if self.heartbeat_dir
-            else None
-        )
-        # With a watchdog, wake often enough to read heartbeats between
-        # completions; the hard backstop then accumulates across slices
-        # via `last_progress` instead of spanning one long wait().
-        if watchdog is None:
-            slice_timeout = wait_timeout
-        else:
-            slice_timeout = max(self.stale_after / 2.0, 0.05)
-            if wait_timeout is not None:
-                slice_timeout = min(slice_timeout, wait_timeout)
-        if self.heartbeat_dir:
+        # Wake often enough to read heartbeats between completions.
+        slice_timeout = self.stale_after / 2.0
+        if watchdog.overdue_after is not None:
+            slice_timeout = min(slice_timeout, watchdog.overdue_after)
+        for job, _attempt in queue:
             # A retried (or re-queued) job's previous attempt left a stale
             # heartbeat file; without clearing it the watchdog would read
-            # the old mtime and declare the fresh attempt stuck while it
-            # is still queued in the pool backlog.
-            for job, _attempt in queue:
-                try:
-                    heartbeat_path(self.heartbeat_dir, job.key).unlink(
-                        missing_ok=True
-                    )
-                except OSError:
-                    pass
+            # the old clocks and kill the fresh attempt while it is still
+            # queued in the pool backlog.
+            try:
+                heartbeat_path(watchdog.directory, job.key).unlink(
+                    missing_ok=True
+                )
+            except OSError:
+                pass
         try:
             future_map = {
                 pool.submit(
                     _pool_entry,
                     job,
                     attempt,
+                    str(watchdog.directory),
+                    self.heartbeat_interval,
                     self.budget.forked() if self.budget is not None else None,
                     self.timeout,
                     self.artifact_cache,
-                    self.heartbeat_dir,
-                    self.heartbeat_interval,
                 ): (job, attempt)
                 for job, attempt in queue
             }
             # `remaining` = futures not yet handed off to an outcome list;
             # everything still in it when the pool breaks must be re-run.
             remaining = set(future_map)
-            last_progress = time.monotonic()
-            while remaining and not broken:
+            while remaining:
                 done, _ = wait(
                     remaining, timeout=slice_timeout, return_when=FIRST_COMPLETED
                 )
-                if not done:
-                    # Nothing finished this slice.  Charge everything if
-                    # the completion-free window exhausted the hard
-                    # backstop; otherwise consult the watchdog and only
-                    # kill the pool when a started job went silent.
-                    hard = wait_timeout is not None and (
-                        time.monotonic() - last_progress >= wait_timeout - 0.05
-                    )
-                    stuck_keys: set[str] = set()
-                    if not hard and watchdog is not None:
-                        _, stuck = watchdog.classify(
-                            [future_map[f][0].key for f in remaining],
-                            time.time(),
-                        )
-                        stuck_keys = set(stuck)
-                    if not hard and not stuck_keys:
-                        continue
-                    for future in remaining:
-                        future.cancel()
-                        job, attempt = future_map[future]
-                        if hard:
-                            timed_out.append((job, attempt, "timeout"))
-                        elif job.key in stuck_keys:
-                            timed_out.append((job, attempt, "stuck"))
-                        else:
-                            unfinished.append((job, attempt))
-                    remaining = set()
-                    clean = False
-                    self._terminate_workers(pool)
-                    break
-                last_progress = time.monotonic()
                 for future in done:
                     remaining.discard(future)
                     job, attempt = future_map[future]
@@ -967,14 +916,37 @@ class ParallelRunner:
                         failed.append((job, attempt, outcome))
                     else:
                         self._record(job, outcome, results, checkpoint)
+                if not remaining:
+                    break
+                now = time.time()
+                _, dead = watchdog.classify(
+                    [future_map[f][0].key for f in remaining], now
+                )
+                if not dead:
+                    continue
+                # Kill the pool: only the stuck or overdue jobs are
+                # charged, everything else outstanding is re-queued.  No
+                # future.cancel() here: it races the pool's own cleanup
+                # thread, which then fails setting BrokenProcessPool on
+                # a cancelled future (InvalidStateError on Python 3.11).
+                for future in remaining:
+                    job, attempt = future_map[future]
+                    if job.key in dead:
+                        failure = self._kill_failure(watchdog, job, attempt, now)
+                        failed.append((job, attempt, failure))
+                    else:
+                        unfinished.append((job, attempt))
+                clean = False
+                self._terminate_workers(pool)
+                break
         finally:
-            # After a timeout or pool breakage, waiting would block on a
-            # stuck or dead worker; abandon the pool instead.
+            # After a watchdog kill or pool breakage, waiting would block
+            # on a stuck or dead worker; abandon the pool instead.
             pool.shutdown(wait=clean, cancel_futures=True)
-        return failed, timed_out, unfinished, broken
+        return failed, unfinished, broken
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"ParallelRunner(jobs={self.jobs}, max_retries={self.max_retries}, "
+            f"ParallelRunner(jobs={self.jobs}, retry_policy={self.retry_policy}, "
             f"timeout={self.timeout})"
         )

@@ -86,6 +86,21 @@ class TestWatchdog:
         assert alive == ["alive", "unstarted"]
         assert stuck == ["stuck#0"]
 
+    def test_overdue_after_run_time_not_silence(self, tmp_path):
+        # "old" beats fresh but started 100s ago; "fresh" just started.
+        HeartbeatWriter(heartbeat_path(tmp_path, "old")).beat()
+        heartbeat_path(tmp_path, "old").write_text(repr(time.time() - 100.0))
+        HeartbeatWriter(heartbeat_path(tmp_path, "fresh")).beat()
+        dog = Watchdog(tmp_path, stale_after=30.0, overdue_after=10.0)
+        now = time.time()
+        assert dog.is_overdue("old", now)
+        assert not dog.is_stuck("old", now)
+        assert not dog.is_overdue("fresh", now)
+        assert not dog.is_overdue("unstarted", now)
+        alive, dead = dog.classify(["old", "fresh", "unstarted"], now)
+        assert alive == ["fresh", "unstarted"]
+        assert dead == ["old"]
+
     def test_rejects_nonpositive_threshold(self, tmp_path):
         with pytest.raises(ValueError):
             Watchdog(tmp_path, stale_after=0)

@@ -9,7 +9,7 @@ at a fixed job count).
 import pytest
 
 from repro.engine import Engine, EngineStats
-from repro.experiments import ExperimentScale, run_all, run_basic_experiments
+from repro.experiments import ExperimentScale, run_all
 from repro.experiments.results import (
     CircuitBasicResult,
     HeuristicOutcome,
@@ -20,6 +20,7 @@ from repro.parallel import (
     CircuitJobResult,
     JobFailure,
     ParallelRunError,
+    FaultShardJob,
     ParallelRunner,
     RunCheckpoint,
     execute_job,
@@ -67,21 +68,6 @@ class TestDeterminism:
     def test_circuit_order_preserved(self, parallel_results):
         assert tuple(parallel_results.basic) == CIRCUITS
         assert tuple(r.circuit for r in parallel_results.table6) == CIRCUITS
-
-    def test_run_basic_experiments_parallel_identity(self):
-        serial = run_basic_experiments(TINY, CIRCUITS, jobs=1)
-        parallel = run_basic_experiments(TINY, CIRCUITS, jobs=2)
-        assert list(serial) == list(parallel)
-        for name in serial:
-            a, b = serial[name], parallel[name]
-            assert a.i0 == b.i0
-            assert a.p0_total == b.p0_total
-            assert a.p01_total == b.p01_total
-            for heuristic, outcome in a.outcomes.items():
-                other = b.outcomes[heuristic]
-                assert outcome.detected_p0 == other.detected_p0
-                assert outcome.tests == other.tests
-                assert outcome.detected_p01 == other.detected_p01
 
 
 class TestRunner:
@@ -154,7 +140,9 @@ class TestFailurePaths:
     def test_injected_failure_retried_then_salvaged(self, monkeypatch):
         monkeypatch.setenv("REPRO_INJECT_FAIL", "s27:1")  # fail 1st attempt only
         engine = Engine()
-        runner = ParallelRunner(jobs=2, engine=engine, max_retries=1)
+        runner = ParallelRunner(
+            jobs=2, engine=engine, retry_policy=RetryPolicy(max_retries=1)
+        )
         results = runner.run(_values_jobs())
         assert [r.circuit for r in results] == list(CIRCUITS)
         assert all(r.basic is not None for r in results)
@@ -164,7 +152,9 @@ class TestFailurePaths:
     def test_exhausted_retries_aggregate_and_salvage(self, monkeypatch):
         monkeypatch.setenv("REPRO_INJECT_FAIL", "s27")  # fail every attempt
         engine = Engine()
-        runner = ParallelRunner(jobs=2, engine=engine, max_retries=1)
+        runner = ParallelRunner(
+            jobs=2, engine=engine, retry_policy=RetryPolicy(max_retries=1)
+        )
         with pytest.raises(ParallelRunError) as excinfo:
             runner.run(_values_jobs())
         error = excinfo.value
@@ -185,7 +175,9 @@ class TestFailurePaths:
     def test_in_process_path_applies_same_retry_policy(self, monkeypatch):
         monkeypatch.setenv("REPRO_INJECT_FAIL", "s27:1")
         engine = Engine()
-        runner = ParallelRunner(jobs=1, engine=engine, max_retries=1)
+        runner = ParallelRunner(
+            jobs=1, engine=engine, retry_policy=RetryPolicy(max_retries=1)
+        )
         results = runner.run(_values_jobs(("s27",)))
         assert results[0].basic is not None
         assert engine.stats.counter("parallel.retries") == 1
@@ -205,7 +197,12 @@ class TestFailurePaths:
     def test_timeout_marks_outstanding_jobs_failed(self, monkeypatch):
         monkeypatch.setenv("REPRO_INJECT_SLEEP", "c17:30")
         engine = Engine()
-        runner = ParallelRunner(jobs=2, engine=engine, max_retries=0, timeout=2.0)
+        runner = ParallelRunner(
+            jobs=2,
+            engine=engine,
+            retry_policy=RetryPolicy(max_retries=0),
+            timeout=2.0,
+        )
         # no run flags: the healthy job only builds a session, so the only
         # slow job is the injected sleeper
         jobs = [CircuitJob("s27", TINY), CircuitJob("c17", TINY)]
@@ -225,7 +222,9 @@ class TestFailurePaths:
         import time as _time
 
         monkeypatch.setenv("REPRO_INJECT_SLEEP", "c17:600")
-        runner = ParallelRunner(jobs=2, max_retries=0, timeout=2.0)
+        runner = ParallelRunner(
+            jobs=2, retry_policy=RetryPolicy(max_retries=0), timeout=2.0
+        )
         jobs = [CircuitJob("s27", TINY), CircuitJob("c17", TINY)]
         before = {p.pid for p in multiprocessing.active_children()}
         with pytest.raises(ParallelRunError):
@@ -241,7 +240,7 @@ class TestFailurePaths:
 
     def test_constructor_rejects_bad_policy(self):
         with pytest.raises(ValueError):
-            ParallelRunner(jobs=1, max_retries=-1)
+            ParallelRunner(jobs=1, retry_policy=RetryPolicy(max_retries=-1))
         with pytest.raises(ValueError):
             ParallelRunner(jobs=1, timeout=0.0)
         with pytest.raises(ValueError):
@@ -278,12 +277,6 @@ class TestBackoff:
         assert engine.stats.counter("parallel.retries") == 1
         assert engine.stats.timers["parallel.retry_wait_seconds"] >= 0.01
 
-    def test_retry_policy_takes_precedence_over_max_retries(self):
-        runner = ParallelRunner(
-            jobs=1, max_retries=5, retry_policy=RetryPolicy(max_retries=2)
-        )
-        assert runner.max_retries == 2
-
 
 class TestHardCrashRecovery:
     """SIGKILL a pool worker mid-job: the hardest crash.  The run must
@@ -310,8 +303,8 @@ class TestHardCrashRecovery:
         assert records["s27"].get("retries", 0) >= 1
 
     def test_sigkill_without_heartbeats_still_recovers(self, monkeypatch):
-        # Pre-supervision behaviour: the crash is survived via the
-        # in-process fallback, just without retry attribution.
+        # No heartbeat_dir: the runner beats into a per-run temporary
+        # directory, and the crash is survived via the in-process fallback.
         monkeypatch.setenv("REPRO_INJECT_EXIT_SIGKILL", "s27:1")
         engine = Engine()
         runner = ParallelRunner(jobs=2, engine=engine)
@@ -320,11 +313,43 @@ class TestHardCrashRecovery:
         assert all(r.basic is not None for r in results)
         assert engine.stats.counter("parallel.pool_broken") >= 1
 
+    @pytest.mark.parametrize(
+        "stall",
+        ["b03_proxy:1", "s27:1"],
+        ids=["failure-before-crash", "crash-before-failure"],
+    )
+    def test_fallback_keeps_attempt_counts(self, monkeypatch, tmp_path, stall):
+        """s27 fails every attempt while b03_proxy's worker kills the
+        pool; the one-second stall orders the two.  Either way each job
+        is charged exactly one retry: s27 uses its one retry (two
+        attempts, whether the pool or the fallback ran them), and
+        b03_proxy, whose beat file proves it started, is charged once
+        for the crash."""
+        monkeypatch.setenv("REPRO_INJECT_FAIL", "s27")
+        monkeypatch.setenv("REPRO_INJECT_EXIT", "b03_proxy")
+        monkeypatch.setenv("REPRO_INJECT_SLEEP", stall)
+        engine = Engine()
+        runner = ParallelRunner(
+            jobs=2,
+            engine=engine,
+            retry_policy=RetryPolicy.immediate(1),
+            heartbeat_dir=tmp_path,
+        )
+        with pytest.raises(ParallelRunError) as excinfo:
+            runner.run(_values_jobs())
+        [failure] = excinfo.value.failures
+        assert failure.circuit == "s27"
+        assert failure.attempt == 1
+        assert engine.stats.counter("parallel.retries") == 2
+        [record] = engine.job_records
+        assert record["key"] == "b03_proxy"
+        assert record["retries"] == 1
+
 
 class TestWatchdogPath:
     """A worker that starts beating and then goes silent is *stuck*:
     killed, charged an attempt, and distinguishable (phase="stuck")
-    from the completion-free hard timeout.
+    from an overdue one (phase="timeout").
 
     The sleeper chaos job beats synchronously once on entry; with a
     60s beat interval the beat then goes silent, which is exactly the
@@ -338,7 +363,7 @@ class TestWatchdogPath:
         runner = ParallelRunner(
             jobs=2,
             engine=engine,
-            max_retries=0,
+            retry_policy=RetryPolicy(max_retries=0),
             heartbeat_dir=tmp_path,
             heartbeat_interval=60.0,
             stale_after=1.0,
@@ -380,6 +405,51 @@ class TestWatchdogPath:
         assert engine.stats.timers["parallel.retry_wait_seconds"] == (
             pytest.approx(0.05)
         )
+
+    def test_heartbeats_on_without_heartbeat_dir(self, monkeypatch):
+        # No heartbeat_dir given: the watchdog still runs, on a per-run
+        # temporary directory.  The sleeper outlives detection by far.
+        monkeypatch.setenv("REPRO_INJECT_SLEEP", "c17:20")
+        engine = Engine()
+        runner = ParallelRunner(
+            jobs=2,
+            engine=engine,
+            retry_policy=RetryPolicy(max_retries=0),
+            heartbeat_interval=60.0,
+            stale_after=1.0,
+        )
+        jobs = [CircuitJob("s27", TINY), CircuitJob("c17", TINY)]
+        with pytest.raises(ParallelRunError) as excinfo:
+            runner.run(jobs)
+        [failure] = excinfo.value.failures
+        assert failure.circuit == "c17"
+        assert failure.phase == "stuck"
+        assert engine.stats.counter("parallel.stuck") == 1
+
+    def test_overdue_charges_only_the_overrunning_jobs(self, monkeypatch):
+        """Two stalled c17 shards fill both workers, so s27 waits in the
+        backlog.  Only the shards that ran past their overdue mark are
+        charged; s27 never started, so it is re-queued and salvaged."""
+        monkeypatch.setenv("REPRO_INJECT_SLEEP", "c17:600")
+        engine = Engine()
+        runner = ParallelRunner(
+            jobs=2,
+            engine=engine,
+            retry_policy=RetryPolicy(max_retries=0),
+            timeout=2.0,
+        )
+        jobs = [
+            FaultShardJob("c17", TINY, shard_index=index, shard_count=2)
+            for index in range(2)
+        ] + [CircuitJob("s27", TINY)]
+        with pytest.raises(ParallelRunError) as excinfo:
+            runner.run(jobs)
+        failures = excinfo.value.failures
+        assert sorted(f.circuit for f in failures) == ["c17#0", "c17#1"]
+        assert all(f.phase == "timeout" for f in failures)
+        assert [r.key for r in excinfo.value.results] == ["s27"]
+        assert engine.stats.counter("parallel.timeouts") == 2
+        assert engine.stats.counter("parallel.retries") == 0
 
 
 def _fake_result(circuit="s27"):
@@ -507,7 +577,7 @@ class TestCheckpointResume:
                 table6_circuits=CIRCUITS,
                 jobs=4,
                 checkpoint_dir=str(ckpt),
-                max_retries=0,
+                retry_policy=RetryPolicy(max_retries=0),
             )
         assert "b03_proxy" in str(excinfo.value)
         assert (ckpt / "s27.json").exists()

@@ -26,6 +26,7 @@ from repro.parallel import (
     ShardSweep,
     merge_shard_results,
 )
+from repro.robustness import RetryPolicy
 
 TINY = ExperimentScale(
     name="tiny", max_faults=120, p0_min_faults=30, max_secondary_attempts=4, seed=1
@@ -368,7 +369,9 @@ class TestShardChaos:
     ):
         monkeypatch.setenv("REPRO_INJECT_FAIL", "s27#1:1")  # 1st attempt only
         engine = Engine()
-        runner = ParallelRunner(jobs=2, engine=engine, max_retries=1)
+        runner = ParallelRunner(
+            jobs=2, engine=engine, retry_policy=RetryPolicy(max_retries=1)
+        )
         results = runner.run(_shard_jobs(2))
         assert engine.stats.counter("parallel.retries") == 1
         assert engine.stats.counter("parallel.failures") == 0
@@ -377,7 +380,9 @@ class TestShardChaos:
     def test_exhausted_shard_failure_names_the_shard(self, monkeypatch):
         monkeypatch.setenv("REPRO_INJECT_FAIL", "s27#1")  # every attempt
         engine = Engine()
-        runner = ParallelRunner(jobs=2, engine=engine, max_retries=1)
+        runner = ParallelRunner(
+            jobs=2, engine=engine, retry_policy=RetryPolicy(max_retries=1)
+        )
         with pytest.raises(ParallelRunError) as excinfo:
             runner.run(_shard_jobs(2))
         assert [f.circuit for f in excinfo.value.failures] == ["s27#1"]
@@ -397,7 +402,9 @@ class TestShardChaos:
     def test_bare_circuit_name_targets_every_shard(self, monkeypatch):
         monkeypatch.setenv("REPRO_INJECT_FAIL", "s27")
         engine = Engine()
-        runner = ParallelRunner(jobs=2, engine=engine, max_retries=0)
+        runner = ParallelRunner(
+            jobs=2, engine=engine, retry_policy=RetryPolicy(max_retries=0)
+        )
         with pytest.raises(ParallelRunError) as excinfo:
             runner.run(_shard_jobs(2))
         assert sorted(f.circuit for f in excinfo.value.failures) == [
@@ -474,7 +481,7 @@ class TestShardCheckpoints:
                 jobs=2,
                 shards=2,
                 checkpoint_dir=str(ckpt),
-                max_retries=0,
+                retry_policy=RetryPolicy(max_retries=0),
             )
         assert (ckpt / "s27.shard0.json").exists()
         assert not (ckpt / "s27.shard1.json").exists()

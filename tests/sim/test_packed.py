@@ -214,19 +214,10 @@ class TestDispatch:
             monkeypatch.undo()
             envflags.reset()
 
-    def test_env_native_is_documented_stub(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["numppy", "native"])
+    def test_env_typo_is_an_error_not_a_fallback(self, monkeypatch, name):
         try:
-            monkeypatch.setenv(envflags.BACKEND_ENV, "native")
-            envflags.reset()
-            with pytest.raises(NotImplementedError):
-                envflags.simulation_backend()
-        finally:
-            monkeypatch.undo()
-            envflags.reset()
-
-    def test_env_typo_is_an_error_not_a_fallback(self, monkeypatch):
-        try:
-            monkeypatch.setenv(envflags.BACKEND_ENV, "numppy")
+            monkeypatch.setenv(envflags.BACKEND_ENV, name)
             envflags.reset()
             with pytest.raises(ValueError):
                 envflags.simulation_backend()
