@@ -36,8 +36,9 @@ Key properties used for efficiency:
   falls back to simulating the whole netlist.
 * under ``REPRO_BACKEND=packed`` the cone simulator is the bit-packed
   kernel (:mod:`repro.sim.packed`): each fixpoint round screens its whole
-  candidate batch 32 columns per uint64 word and rejects the inconsistent
-  ones in one pass.  The final verification below always runs the numpy
+  candidate batch, 64 columns per uint64 word pair, in one compiled C call
+  that also computes the (consistent, covered) verdicts.  The final
+  verification below always runs the numpy
   full-netlist simulation (scalar-precision verify), so the backend only
   accelerates trial screening.
 * the partial assignment is kept as one ``(n_support, 3)`` ternary-code

@@ -10,8 +10,8 @@ Counter naming convention:
 
 * ``<cache>.hit`` / ``<cache>.miss`` -- memoized-accessor outcomes
   (``enumerate``, ``target_sets``, ``fault_simulator``, and the
-  cone-compilation cache ``cone`` with its extra ``cone.compile`` for
-  misses that could not reuse another seed key's compilation);
+  cone-compilation cache ``cone``, keyed by the resolved cone, whose
+  ``cone.compile`` therefore equals ``cone.miss``);
 * ``batch.runs`` / ``batch.columns`` -- batch simulations and their total
   column count (cone-restricted runs are included, and additionally
   counted as ``cone.runs`` / ``cone.columns``);

@@ -8,8 +8,8 @@ The hot kernels consult three knobs:
   cone-restricted sub-simulator;
 * ``REPRO_BACKEND=<name>`` -- simulation backend for the justifier's
   candidate screening: ``numpy`` (default, the int8 level kernel) or
-  ``packed`` (2-bit {0,1,x} codes packed 32 columns per uint64 word, see
-  :mod:`repro.sim.packed`).
+  ``packed`` (2-bit {0,1,x} codes, 64 columns per uint64 word pair,
+  evaluated by a compiled C kernel, see :mod:`repro.sim.packed`).
 
 The engine layer consults one more:
 

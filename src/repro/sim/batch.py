@@ -20,9 +20,9 @@ operations regardless of its gate count.
 transitive-fanin cone of a node set.  Justification only ever inspects the
 values of its required lines, which depend exclusively on that cone, so the
 cone simulator produces *identical* codes on cone nodes at a fraction of
-the per-column cost (see :class:`ConeSimulator`).  Compilations are
-LRU-cached per requirement-node key -- and deduplicated per resolved cone
--- so the many overlapping requirement sets of one ATPG run share them.
+the per-column cost (see :class:`ConeSimulator`).  Compilations live in one
+LRU map keyed by the resolved cone (a fanin-cone bitmask), so the many
+overlapping requirement sets of one ATPG run share them.
 """
 
 from __future__ import annotations
@@ -205,16 +205,20 @@ class BatchSimulator:
     """
 
     def __init__(self, netlist: Netlist, stats=None, backend: str | None = None) -> None:
-        """``stats`` is an optional EngineStats-compatible sink (anything
-        with ``count(name, n)``); when set, every ``run_codes`` call records
-        ``batch.runs`` and ``batch.columns``, and :meth:`restricted` records
-        ``cone.hit`` / ``cone.miss`` / ``cone.compile``.
+        """``stats`` is an optional :class:`~repro.engine.stats.EngineStats`;
+        when set, every ``run_codes`` call records ``batch.runs`` and
+        ``batch.columns``, and :meth:`restricted` records ``cone.hit`` /
+        ``cone.miss`` / ``cone.compile``.
 
         ``backend`` selects the cone-screening kernel ("numpy" or
         "packed"); ``None`` snapshots :func:`repro.envflags.simulation_backend`
         (the ``REPRO_BACKEND`` seam).  The full-netlist entry points below
         always run the numpy kernel -- the packed backend only changes what
-        :meth:`restricted` hands to the justifier.
+        :meth:`restricted` hands to the justifier.  A packed simulator
+        builds or loads the compiled kernel here
+        (:func:`repro.sim.packed.load_kernel`), raising
+        :class:`~repro.sim.packed.KernelBuildError` without a working C
+        compiler.
         """
         self.netlist = netlist
         self.stats = stats
@@ -229,11 +233,14 @@ class BatchSimulator:
         self._levels, self._const0, self._const1 = _compile_levels(
             netlist, netlist.topo_order, self.n_nodes
         )
-        # Requirement-node key -> ConeSimulator, plus a second map keyed by
-        # the resolved cone so distinct requirement sets with equal cones
-        # share one compilation.  Both LRU-bounded by LRU_CACHE_SIZE.
-        self._cone_by_seed: "OrderedDict[frozenset[int], ConeSimulator]" = OrderedDict()
-        self._cone_by_cone: "OrderedDict[frozenset[int], ConeSimulator]" = OrderedDict()
+        if self.backend == "packed":
+            from .packed import load_kernel
+
+            load_kernel()
+        # Fanin-cone bitmask per node (bit i = dense index i), computed on
+        # the first restricted() call; cone mask -> ConeSimulator, LRU-bounded.
+        self._cone_masks: list[int] | None = None
+        self._cones: "OrderedDict[int, ConeSimulator]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -246,34 +253,43 @@ class BatchSimulator:
         (:func:`repro.circuit.analysis.input_cone`) of the seed set -- the
         smallest fanin-closed sub-circuit that computes every seed node, and
         hence exactly what a justification of requirements on ``nodes``
-        has to simulate.  Results are LRU-cached: once per seed key, and
-        compilations are additionally shared between seed sets that resolve
-        to the same cone.
+        has to simulate.  The cache key is the resolved cone itself: the
+        OR of the seeds' cone bitmasks, so every seed set with the same
+        cone hits one LRU entry and ``input_cone`` runs only on a compile
+        (``cone.miss`` and ``cone.compile`` therefore count alike).
         """
-        key = frozenset(int(node) for node in nodes)
-        cone_sim = self._cone_by_seed.get(key)
+        seeds = [int(node) for node in nodes]
+        masks = self._cone_masks
+        if masks is None:
+            masks = self._cone_masks = self._fanin_cone_masks()
+        key = 0
+        for node in seeds:
+            key |= masks[node]
+        cone_sim = self._cones.get(key)
         if cone_sim is not None:
-            self._cone_by_seed.move_to_end(key)
+            self._cones.move_to_end(key)
             if self.stats is not None:
                 self.stats.count("cone.hit")
             return self._dispatch(cone_sim)
         if self.stats is not None:
             self.stats.count("cone.miss")
-        cone_key = frozenset(input_cone(self.netlist, key))
-        cone_sim = self._cone_by_cone.get(cone_key)
-        if cone_sim is None:
-            if self.stats is not None:
-                self.stats.count("cone.compile")
-            cone_sim = ConeSimulator(self, cone_key)
-            self._cone_by_cone[cone_key] = cone_sim
-            while len(self._cone_by_cone) > LRU_CACHE_SIZE:
-                self._cone_by_cone.popitem(last=False)
-        else:
-            self._cone_by_cone.move_to_end(cone_key)
-        self._cone_by_seed[key] = cone_sim
-        while len(self._cone_by_seed) > LRU_CACHE_SIZE:
-            self._cone_by_seed.popitem(last=False)
+            self.stats.count("cone.compile")
+        cone = frozenset(input_cone(self.netlist, seeds))
+        cone_sim = self._cones[key] = ConeSimulator(self, cone)
+        while len(self._cones) > LRU_CACHE_SIZE:
+            self._cones.popitem(last=False)
         return self._dispatch(cone_sim)
+
+    def _fanin_cone_masks(self) -> list[int]:
+        """One transitive-fanin bitmask per node, built in topological order."""
+        masks = [0] * self.n_nodes
+        netlist = self.netlist
+        for index in netlist.topo_order:
+            mask = 1 << index
+            for ref in netlist.fanin_indices(index):
+                mask |= masks[ref]
+            masks[index] = mask
+        return masks
 
     def _dispatch(self, cone_sim: "ConeSimulator"):
         """Wrap a cached cone in the selected backend's simulator.

@@ -1,9 +1,11 @@
 """Bit-packed {0,1,x} simulation backend (``REPRO_BACKEND=packed``).
 
 Packs the batch columns of the justifier's trial simulations into uint64
-words, 2 bits per ternary value, and evaluates the level kernel of
-:mod:`repro.sim.batch` with word-wide bitwise ops -- one level pass
-screens 64 justification trials per word.
+words, 2 bits per ternary value, and evaluates the cone with word-wide
+bitwise ops in a small compiled C loop (``_packed_kernel.c``): one call
+packs the batch, propagates every gate and reduces the requirement
+verdicts, so a whole fixpoint round costs one foreign call instead of a
+few numpy calls per level.
 
 Encoding
 --------
@@ -16,61 +18,52 @@ Each {0,1,x} value is 2 bits split across a *plane pair* of words:
 So ``0 -> (0, 0)``, ``1 -> (1, 1)``, ``x -> (0, 1)``; ``(1, 0)`` is never
 produced (``d1 -> p1`` is an invariant of every op below) and decodes
 defensively as ``x``.  Lane ``j`` of the pair is bit ``j`` of both words
-(64 lanes per word pair, little-endian bit order).
+(64 lanes per word pair, little-endian bit order).  The planes make the
+ternary algebra collapse into single bitwise ops, because ``d1`` and
+``p1`` are each monoid homomorphisms of the ternary AND/OR algebra onto
+boolean AND/OR:
 
-The issue sketched an *interleaved* layout (both bits of a lane adjacent,
-32 lanes per word).  Measured on the justify hot path, the mask-and-
-recombine that interleaving forces on every AND/OR made the packed kernel
-*slower* than the int8 kernel (the workload is numpy-call-overhead bound,
-not bandwidth bound).  The plane-separated layout keeps the same 2-bit
-code but makes the ternary algebra collapse into single bitwise ops,
-because ``d1`` and ``p1`` are each monoid homomorphisms of the ternary
-AND/OR algebra onto boolean AND/OR:
-
-* AND: ``d1' = AND(d1_i)`` and ``p1' = AND(p1_i)`` -- one plain bitwise
-  AND-reduce over both planes;
-* OR: likewise with OR;
+* AND: ``d1' = AND(d1_i)`` and ``p1' = AND(p1_i)``; OR likewise;
 * NOT: ``(d1', p1') = (~p1, ~d1)`` -- a bitwise NOT plus a plane *swap*;
 * XOR: pairwise -- any ``x`` operand forces ``x``, else the boolean xor
-  of the ``d1`` bits (see :func:`_xor_planes`).
+  of the ``d1`` bits.
 
-State layout and the per-cone plan
-----------------------------------
+State layout and the gate program
+---------------------------------
 
 The packed state folds the plane axis into the row axis: row ``2i`` holds
-node ``i``'s ``d1`` words, row ``2i + 1`` its ``p1`` words (shape
-``(2 * (n_rows + 2), 3, W)``).  That turns NOT's plane swap into *index
-selection*: a gather entry referencing node ``j`` is the row pair
-``(2j, 2j + 1)``, or ``(2j + 1, 2j)`` for an operand of an inverting
-gate.  Plane permutation commutes with the plane-wise AND/OR, so
+cone-local node ``i``'s ``d1`` words, row ``2i + 1`` its ``p1`` words
+(shape ``(2 * (n_nodes + 2), 3, W)``).  :func:`_compile_plan` flattens the
+cone's fused levels once into a *gate program*: one int64 record per gate,
+in level order, holding its op (AND/NAND/OR/NOR/XOR/XNOR), its output row
+pair and its fanin row pairs.  The NOT half of NAND/NOR is compiled into
+the fanin pairs as a plane swap -- ``(2j + 1, 2j)`` instead of
+``(2j, 2j + 1)`` -- since plane permutation commutes with the plane-wise
+AND/OR, so ``NAND = ~ AND(swapped inputs)`` and ``NOR = ~ OR(swapped
+inputs)``.  BUF and NOT are one-input AND and NAND.
 
-* ``NAND = ~ AND(swapped inputs)`` and ``NOR = ~ OR(swapped inputs)``,
+Lane padding mirrors the numpy kernel's pad-*row* treatment: when ``K``
+is not a multiple of 64, the trailing lanes of the last word pair hold
+constant 0 -- lanes never interact, so any valid ternary constant is inert
+by construction, and the first ``K`` lanes are unaffected by batch
+widening (tested property).  The numpy kernel's two pad *rows* pad each
+fused gate's fanins to its family's arity: the min-family pad holds
+constant 1 (all-ones in both planes), the max/xor-family pad constant 0;
+both are symmetric across planes, so swapped pad operands stay neutral.
 
-which reduces every min/max-family level to
+The C kernel
+------------
 
-1. one ``take`` gathering the level's fanin row pairs ``(n, A, 2)``,
-2. one ``bitwise_and`` reduce over the AND/NAND rows and one
-   ``bitwise_or`` reduce over the NOR/OR rows, each writing **directly
-   into the state** (``out=`` a reshaped view of the level's contiguous
-   output block -- rows are renumbered at plan-compile time so every
-   level's outputs are class-sorted ``[AND | NAND | NOR | OR]`` and
-   contiguous),
-3. one in-place invert of the NAND/NOR output rows (contiguous by the
-   same ordering),
-
-with no per-class stores and no mask recombination -- 2-4 numpy calls
-per level against the int8 kernel's 3+ per *family*, on ~10-30x less
-data.  The (rare) XOR/XNOR rows evaluate pairwise from the same gather.
-
-Lane padding mirrors the numpy kernel's pad-*row* treatment (PR 4): when
-``K`` is not a multiple of 64, the trailing lanes of the last word pair
-hold constant 0 -- lanes never interact, so any valid ternary constant is
-inert by construction, and the first ``K`` lanes are unaffected by batch
-widening (tested property).  The same two pad *rows* as the numpy kernel
-provide the reduction identities: the min-family pad holds constant 1
-(all-ones in both planes), the max/xor-family pad constant 0; both are
-symmetric across planes, so the swapped gathers of NAND/NOR keep them
-neutral.
+The C source is compiled with the system C compiler (``sysconfig``'s
+``CC``, else ``cc``) at ``-O2 -shared -fPIC`` and loaded with
+:mod:`ctypes` (:func:`load_kernel`).  The library is cached under
+``${XDG_CACHE_HOME:-~/.cache}/repro/`` (else the temp directory), named by
+a digest of the source, the compiler command and the platform, and
+published with a temp file plus :func:`os.replace`, so concurrent pool
+workers never see a partial file.  Constructing a packed
+:class:`~repro.sim.batch.BatchSimulator` builds or loads it; a missing or
+failing compiler is a :class:`KernelBuildError` naming the compiler, never
+a silent fallback.
 
 Dispatch
 --------
@@ -82,13 +75,22 @@ when the backend resolves to ``packed`` (the ``REPRO_BACKEND`` seam in
 interface -- ``run_codes`` returns identical unpacked int8 codes in the
 parent's row order -- plus :meth:`PackedConeSimulator.screen`, the
 justifier's fast path that computes the (consistent, covered) verdicts
-against a :class:`~repro.sim.cover.CompiledRequirements` directly on the
-packed words, without materializing per-node codes.
+against a :class:`~repro.sim.cover.CompiledRequirements` inside the C
+call, without materializing per-node codes.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import shlex
+import shutil
+import subprocess
 import sys
+import sysconfig
+import tempfile
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -100,7 +102,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (batch dispatches her
     from .batch import ConeSimulator
     from .cover import CompiledRequirements
 
-__all__ = ["LANES", "PackedConeSimulator", "pack_codes", "unpack_words", "words_for"]
+__all__ = [
+    "LANES",
+    "KernelBuildError",
+    "PackedConeSimulator",
+    "load_kernel",
+    "unpack_words",
+    "words_for",
+]
 
 #: Batch columns per uint64 word pair (2 bits per {0,1,x} value).
 LANES = 64
@@ -114,14 +123,32 @@ _BIG_ENDIAN = sys.byteorder == "big"
 _DECODE = np.array([ZERO, X, X, ONE], dtype=np.int8)
 _DECODE.setflags(write=False)
 
-#: Gate classes in within-level row order.  The order makes the
-#: AND-reduce rows {AND, NAND}, the OR-reduce rows {NOR, OR} and the
-#: complemented rows {NAND, NOR} all contiguous ranges.
-_CLASSES = ("and", "nand", "nor", "or", "xor", "xnor")
-#: Classes whose gather swaps each operand's plane pair (the NOT half).
-_SWAPPED = ("nand", "nor")
-#: Classes whose reduce result is complemented in place.
-_COMPLEMENTED = ("nand", "nor")
+#: Gate-program opcodes (mirrored by the enum in ``_packed_kernel.c``),
+#: keyed by the fused level kernel's (family, inverted).
+_OPCODES = {
+    ("min", False): 0,  # AND (and BUF)
+    ("min", True): 1,  # NAND (and NOT)
+    ("max", False): 2,  # OR
+    ("max", True): 3,  # NOR
+    ("xor", False): 4,  # XOR
+    ("xor", True): 5,  # XNOR
+}
+#: Opcodes whose fanin row pairs are plane-swapped (the NOT half).
+_SWAPPED = (1, 3)
+
+_SOURCE = Path(__file__).with_name("_packed_kernel.c")
+_CFLAGS = ("-O2", "-shared", "-fPIC")
+
+_PTR = ctypes.c_void_p
+_I64 = ctypes.c_int64
+_KERNEL_ARGS = [_PTR, _I64, _I64, _PTR, _PTR, _I64, _PTR, _I64]
+
+#: The loaded kernel library, once per process.
+_kernel: ctypes.CDLL | None = None
+
+
+class KernelBuildError(RuntimeError):
+    """The packed kernel's C source could not be compiled or loaded."""
 
 
 def words_for(columns: int) -> int:
@@ -129,224 +156,176 @@ def words_for(columns: int) -> int:
     return max(1, -(-columns // LANES))
 
 
-def _byteswapped(words: np.ndarray) -> np.ndarray:
-    return words.byteswap() if _BIG_ENDIAN else words
-
-
-def pack_codes(codes: np.ndarray) -> np.ndarray:
-    """Pack ternary codes ``(n, 3, K)`` into plane pairs ``(n, 2, 3, W)``.
-
-    Axis 1 is the (d1, p1) plane pair; lanes ``K .. 64 * W`` hold
-    constant 0 (valid and inert -- lanes never interact).
-    """
-    n, three, k = codes.shape
-    w = words_for(k)
-    d1 = np.packbits(codes == ONE, axis=-1, bitorder="little")
-    p1 = np.packbits(codes != ZERO, axis=-1, bitorder="little")
-    buf = np.zeros((n, 2, three, w * 8), dtype=np.uint8)
-    buf[:, 0, :, : d1.shape[-1]] = d1
-    buf[:, 1, :, : p1.shape[-1]] = p1
-    return _byteswapped(buf.view(np.uint64))
-
-
 def unpack_words(words: np.ndarray, k: int) -> np.ndarray:
     """Unpack plane pairs ``(n, 2, 3, W)`` into ternary codes ``(n, 3, K)``."""
-    lane_bytes = np.ascontiguousarray(_byteswapped(words)).view(np.uint8)
+    if _BIG_ENDIAN:
+        words = words.byteswap()
+    lane_bytes = np.ascontiguousarray(words).view(np.uint8)
     bits = np.unpackbits(lane_bytes, axis=-1, bitorder="little")  # (n, 2, 3, 64W)
     return _DECODE[2 * bits[:, 0, :, :k] + bits[:, 1, :, :k]]
 
 
-def _lane_bools(plane: np.ndarray, k: int) -> np.ndarray:
-    """First ``k`` lane bits of one plane's words ``(W,)`` as bool."""
-    lane_bytes = np.ascontiguousarray(_byteswapped(plane)).view(np.uint8)
-    return np.unpackbits(lane_bytes, bitorder="little")[:k].astype(bool)
+# ----------------------------------------------------------------------
+# Build and load
+# ----------------------------------------------------------------------
 
 
-def _xor_planes(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise ternary XOR over the arity axis of ``(n, A, 2, 3, W)``.
+def _compiler() -> list[str]:
+    """The system C compiler command: ``sysconfig``'s ``CC``, else ``cc``."""
+    configured = shlex.split(sysconfig.get_config_var("CC") or "")
+    if configured and shutil.which(configured[0]):
+        return configured
+    return ["cc"]
 
-    Returns the ``(d1, p1)`` planes.  Padded operand columns hold
-    constant 0, the XOR identity, so the loop safely runs over the full
-    padded arity.
+
+def _cache_dir() -> Path:
+    """``${XDG_CACHE_HOME:-~/.cache}/repro``, else the temp directory."""
+    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache"
+    )
+    directory = Path(root) / "repro"
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError:
+        return Path(tempfile.gettempdir())
+    return directory if os.access(directory, os.W_OK) else Path(tempfile.gettempdir())
+
+
+def _library_path(compiler: list[str]) -> Path:
+    digest = hashlib.sha256(_SOURCE.read_bytes())
+    digest.update(shlex.join([*compiler, *_CFLAGS]).encode())
+    digest.update(sysconfig.get_platform().encode())
+    return _cache_dir() / f"repro-packed-{digest.hexdigest()[:16]}.so"
+
+
+def _build(compiler: list[str], target: Path) -> None:
+    """Compile the kernel into ``target`` via a temp file + ``os.replace``."""
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.stem}-")
+    os.close(fd)
+    command = [*compiler, *_CFLAGS, "-o", tmp, str(_SOURCE)]
+    try:
+        try:
+            proc = subprocess.run(command, capture_output=True, text=True)
+        except OSError as exc:
+            raise KernelBuildError(
+                f"C compiler {shlex.join(compiler)!r} could not run: {exc}"
+            ) from exc
+        if proc.returncode != 0:
+            raise KernelBuildError(
+                f"C compiler {shlex.join(compiler)!r} exited {proc.returncode} "
+                f"building {_SOURCE.name}: {proc.stderr.strip()[-2000:]}"
+            )
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load(path: Path) -> ctypes.CDLL:
+    lib = ctypes.CDLL(str(path))
+    lib.repro_propagate.argtypes = _KERNEL_ARGS
+    lib.repro_propagate.restype = None
+    lib.repro_screen.argtypes = _KERNEL_ARGS + [_PTR, _PTR, _PTR, _I64, _PTR]
+    lib.repro_screen.restype = _I64
+    return lib
+
+
+def load_kernel() -> ctypes.CDLL:
+    """Build (at most once per source, compiler and platform) and load the
+    C kernel.
+
+    A cached library that fails to load is rebuilt once, not trusted;
+    raises :class:`KernelBuildError` when the compiler fails or the fresh
+    build does not load either.
     """
-    d1 = sub[:, 0, 0]
-    p1 = sub[:, 0, 1]
-    for operand in range(1, sub.shape[1]):
-        bd = sub[:, operand, 0]
-        bp = sub[:, operand, 1]
-        anyx = (p1 & ~d1) | (bp & ~bd)
-        v = d1 ^ bd
-        d1 = v & ~anyx
-        p1 = v | anyx
-    return d1, p1
+    global _kernel
+    if _kernel is None:
+        compiler = _compiler()
+        path = _library_path(compiler)
+        error: Exception | None = None
+        for attempt in range(2):
+            if attempt or not path.exists():
+                _build(compiler, path)
+            try:
+                _kernel = _load(path)
+                break
+            except (OSError, AttributeError) as exc:
+                error = exc
+        else:
+            raise KernelBuildError(
+                f"packed kernel built by {shlex.join(compiler)!r} does not load: {error}"
+            )
+    return _kernel
 
 
-def _class_of(kind: str, inverted: bool) -> str:
-    if kind == "min":
-        return "nand" if inverted else "and"
-    if kind == "max":
-        return "nor" if inverted else "or"
-    return "xnor" if inverted else "xor"
+# ----------------------------------------------------------------------
+# Gate program
+# ----------------------------------------------------------------------
 
 
-def _compile_plan(cone: "ConeSimulator") -> tuple[list[tuple], np.ndarray]:
-    """Renumber the cone's rows level-block-contiguously and build plans.
+def _compile_plan(cone: "ConeSimulator") -> tuple[np.ndarray, int]:
+    """Flatten the cone's fused levels into the C kernel's gate program.
 
-    Returns ``(plans, new_of)`` where ``new_of[old_row] -> plan node row``
-    for all ``n_nodes + 2`` rows (the two pad rows keep their indices;
-    state rows are the *doubled* plan rows).  Each plan is the tuple
-    ``(in_idx, n_and, n_reduce, out_row, inv_bounds, xors)``:
-
-    * ``in_idx`` -- ``(n_level, A, 2)`` state-row gather, each operand a
-      ``(d1, p1)`` pair (swapped for NAND/NOR rows), family-padded;
-    * ``n_and`` / ``n_reduce`` -- the AND-reduce prefix and the total
-      reduce rows (the OR-reduce covers ``[n_and, n_reduce)``);
-    * ``out_row`` -- first *state* row of the level's output block;
-    * ``inv_bounds`` -- state-row range to complement (NAND+NOR), or None;
-    * ``xors`` -- ``(t_lo, t_hi, out_row, inverted)`` XOR/XNOR blocks.
+    Returns ``(program, n_gates)``: per gate, in level order, the record
+    ``op, n_in, out_row, a_0, b_0, a_1, b_1, ...`` of state rows -- the
+    output's ``d1`` row (its ``p1`` row is ``out_row + 1``) and each
+    fanin's ``(d1, p1)`` row pair, swapped for NAND/NOR.  Fanins keep the
+    fused kernel's family padding, which references the pad rows.
     """
-    n_nodes = cone.n_nodes
-    pad_min = n_nodes
-    pad_max = n_nodes + 1
-    # (class, out_old, fanin_old, pad_row) per level, class-sorted.
-    level_rows: list[list[tuple[str, int, list[int], int]]] = []
-    written = np.zeros(n_nodes, dtype=bool)
+    program: list[int] = []
+    n_gates = 0
     for fused_groups in cone._levels:
-        rows: list[tuple[str, int, list[int], int]] = []
         for fused in fused_groups:
             inverted = np.zeros(len(fused.out_idx), dtype=bool)
             if fused.invert_all:
                 inverted[:] = True
             elif fused.invert is not None:
                 inverted[fused.invert] = True
-            pad = pad_min if fused.kind == "min" else pad_max
-            for row in range(len(fused.out_idx)):
-                out = int(fused.out_idx[row])
-                rows.append(
-                    (
-                        _class_of(fused.kind, bool(inverted[row])),
-                        out,
-                        [int(ref) for ref in fused.in_idx[row]],
-                        pad,
-                    )
-                )
-                written[out] = True
-        rows.sort(key=lambda item: _CLASSES.index(item[0]))
-        level_rows.append(rows)
-    order = [row for row in range(n_nodes) if not written[row]]
-    level_starts = []
-    for rows in level_rows:
-        level_starts.append(len(order))
-        order.extend(out for _, out, _, _ in rows)
-    new_of = np.empty(n_nodes + _N_PAD, dtype=np.int64)
-    new_of[np.array(order, dtype=np.int64)] = np.arange(n_nodes)
-    new_of[pad_min] = pad_min
-    new_of[pad_max] = pad_max
-
-    plans: list[tuple] = []
-    for rows, start in zip(level_rows, level_starts):
-        arity = max(len(fanin) for _, _, fanin, _ in rows)
-        in_idx = np.empty((len(rows), arity, 2), dtype=np.int64)
-        for index, (name, _, fanin, pad) in enumerate(rows):
-            swap = name in _SWAPPED
-            for slot, ref in enumerate(fanin + [pad] * (arity - len(fanin))):
-                row2 = 2 * int(new_of[ref])
-                in_idx[index, slot] = (row2 + 1, row2) if swap else (row2, row2 + 1)
-        counts = {name: 0 for name in _CLASSES}
-        for name, _, _, _ in rows:
-            counts[name] += 1
-        n_and = counts["and"] + counts["nand"]
-        n_reduce = n_and + counts["nor"] + counts["or"]
-        n_inv = counts["nand"] + counts["nor"]
-        inv_bounds = None
-        if n_inv:
-            inv_lo = 2 * (start + counts["and"])
-            inv_bounds = (inv_lo, inv_lo + 2 * n_inv)
-        xors = []
-        t_row = n_reduce
-        for name in ("xor", "xnor"):
-            if counts[name]:
-                xors.append(
-                    (
-                        t_row,
-                        t_row + counts[name],
-                        2 * (start + t_row),
-                        name == "xnor",
-                    )
-                )
-                t_row += counts[name]
-        plans.append((in_idx, n_and, n_reduce, 2 * start, inv_bounds, xors))
-    return plans, new_of
-
-
-def _propagate_plan(plans: list[tuple], vals: np.ndarray) -> None:
-    """Evaluate all level plans in place on the packed state.
-
-    ``vals`` has shape ``(2 * (n_rows + 2), 3, W)`` with the two pad row
-    pairs already holding constant 1 / constant 0.  Reduces write straight
-    into the state (``take`` copies, so there is no aliasing).
-    """
-    for in_idx, n_and, n_reduce, out_row, inv_bounds, xors in plans:
-        t = vals.take(in_idx, axis=0)  # (n, A, 2, 3, W)
-        if n_reduce:
-            out = vals[out_row : out_row + 2 * n_reduce]
-            out = out.reshape(n_reduce, 2, out.shape[1], out.shape[2])
-            if n_and:
-                np.bitwise_and.reduce(t[:n_and], axis=1, out=out[:n_and])
-            if n_reduce > n_and:
-                np.bitwise_or.reduce(t[n_and:n_reduce], axis=1, out=out[n_and:])
-        if inv_bounds is not None:
-            inv = vals[inv_bounds[0] : inv_bounds[1]]
-            np.invert(inv, out=inv)
-        for t_lo, t_hi, x_row, inverted in xors:
-            d1, p1 = _xor_planes(t[t_lo:t_hi])
-            block = np.empty((t_hi - t_lo, 2) + d1.shape[1:], dtype=np.uint64)
-            if inverted:  # XNOR = NOT(XOR) = (~p1, ~d1)
-                np.invert(p1, out=block[:, 0])
-                np.invert(d1, out=block[:, 1])
-            else:
-                block[:, 0] = d1
-                block[:, 1] = p1
-            vals[x_row : x_row + 2 * (t_hi - t_lo)] = block.reshape(
-                -1, *d1.shape[1:]
-            )
+            for out, fanin, inv in zip(
+                fused.out_idx.tolist(), fused.in_idx.tolist(), inverted.tolist()
+            ):
+                op = _OPCODES[fused.kind, inv]
+                program += (op, len(fanin), 2 * out)
+                for ref in fanin:
+                    if op in _SWAPPED:
+                        program += (2 * ref + 1, 2 * ref)
+                    else:
+                        program += (2 * ref, 2 * ref + 1)
+                n_gates += 1
+    return np.array(program, dtype=np.int64), n_gates
 
 
 class PackedConeSimulator:
     """Packed-word twin of one :class:`~repro.sim.batch.ConeSimulator`.
 
-    Shares the parent cone's compiled levels (recompiled once into the
-    packed plan) and implements the same interface -- :meth:`run_codes`
-    returns identical int8 codes in the parent's row order -- plus
-    :meth:`screen`, the justifier's fast path.  Constructed lazily by
+    Compiles the parent cone's fused levels once into a gate program and
+    implements the same interface -- :meth:`run_codes` returns identical
+    int8 codes in the parent's row order -- plus :meth:`screen`, the
+    justifier's fast path.  Constructed lazily by
     :meth:`repro.sim.batch.BatchSimulator._dispatch` and cached on the
     cone, so plan compilation amortizes exactly like the cone LRU.
 
     The packed state buffers are cached per word count and reused across
-    simulations: every non-constant row is overwritten by the input store
-    or a level reduce, so only the pad/const rows carry state between
-    calls -- and those are written once at buffer creation.
+    simulations: every input and gate row is overwritten by each kernel
+    call, so only the pad/const rows carry state between calls -- and
+    those are written once at buffer creation.
     """
 
     #: Dispatch tag consumed by tests and stats consumers.
     backend = "packed"
 
     def __init__(self, cone: "ConeSimulator") -> None:
+        self._kernel = load_kernel()
         self._cone = cone
-        self._plans, self._row_of = _compile_plan(cone)
-        #: Old-local -> plan node row (pads excluded); the requirement
-        #: remap applied by :meth:`localize` on top of the parent's.
-        self._node_rows = self._row_of[: cone.n_nodes]
-        self._pi_rows2 = self._doubled(self._row_of[cone._pi_local])
-        self._node_rows2 = self._doubled(self._node_rows)
-        self._const0_rows2 = self._doubled(self._row_of[cone._const0])
-        self._const1_rows2 = self._doubled(self._row_of[cone._const1])
-        self._buffers: dict[int, np.ndarray] = {}
-
-    @staticmethod
-    def _doubled(rows: np.ndarray) -> np.ndarray:
-        """Interleaved state rows ``[2r, 2r+1, ...]`` for plan node rows."""
-        return np.stack([2 * rows, 2 * rows + 1], axis=1).reshape(-1)
+        self._program, self._n_gates = _compile_plan(cone)
+        self._pi_rows = np.ascontiguousarray(2 * cone._pi_local, dtype=np.int64)
+        self._pi_rows_ptr = self._pi_rows.ctypes.data
+        self._program_ptr = self._program.ctypes.data
+        #: Word count -> (state buffer, its address).
+        self._buffers: dict[int, tuple[np.ndarray, int]] = {}
+        #: (requirements, their kernel arrays, kernel args) of the last
+        #: screen: a fixpoint screens one requirement set round after round.
+        self._screened: tuple | None = None
 
     # -- ConeSimulator interface (delegated metadata) -------------------
 
@@ -383,48 +362,60 @@ class PackedConeSimulator:
         return self._cone.local_indices(global_indices)
 
     def localize(self, compiled: "CompiledRequirements") -> "CompiledRequirements":
-        """Remap requirements into plan rows (what :meth:`screen` reads)."""
-        return self._cone.localize(compiled).remapped(self._node_rows)
+        """Remap requirements into cone-local rows (what :meth:`screen` reads)."""
+        return self._cone.localize(compiled)
 
     # -- Simulation -----------------------------------------------------
 
-    def _buffer(self, w: int) -> np.ndarray:
-        vals = self._buffers.get(w)
-        if vals is None:
-            n2 = 2 * self._cone.n_nodes
+    def _buffer(self, w: int) -> tuple[np.ndarray, int]:
+        cached = self._buffers.get(w)
+        if cached is None:
+            cone = self._cone
+            n2 = 2 * cone.n_nodes
             vals = np.empty((n2 + 2 * _N_PAD, 3, w), dtype=np.uint64)
             vals[n2 : n2 + 2] = _ALL  # min-family pad: constant 1
             vals[n2 + 2 : n2 + 4] = 0  # max/xor-family pad: constant 0
-            if self._const0_rows2.size:
-                vals[self._const0_rows2] = 0
-            if self._const1_rows2.size:
-                vals[self._const1_rows2] = _ALL
-            self._buffers[w] = vals
-        return vals
+            for rows, value in ((cone._const0, 0), (cone._const1, _ALL)):
+                vals[2 * rows] = value
+                vals[2 * rows + 1] = value
+            cached = self._buffers[w] = (vals, vals.ctypes.data)
+        return cached
 
-    def _simulate(self, pi_codes: np.ndarray) -> tuple[np.ndarray, int]:
-        """Pack, propagate, and return ``(vals, K)`` in state row space."""
+    def _prepare(self, pi_codes: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
+        """Validate the batch; returns the contiguous int8 codes (the
+        caller keeps them alive across the kernel call), the kernel
+        arguments shared by both entries, and the state buffer."""
         n_pis, three, k = pi_codes.shape
-        cone = self._cone
-        if three != 3 or n_pis != len(cone.pi_index):
+        if three != 3 or n_pis != len(self._cone.pi_index):
             raise ValueError(
-                f"expected shape ({len(cone.pi_index)}, 3, K), got {pi_codes.shape}"
+                f"expected shape ({len(self._cone.pi_index)}, 3, K), got {pi_codes.shape}"
             )
-        stats = cone.stats
+        codes = np.ascontiguousarray(pi_codes, dtype=np.int8)
         w = words_for(k)
-        if stats is not None:
-            stats.count("batch.runs")
-            stats.count("batch.columns", k)
-            stats.count("cone.runs")
-            stats.count("cone.columns", k)
-            stats.count("backend.packed.runs")
-            stats.count("backend.packed.columns", k)
-            stats.count("backend.packed.words", w)
-        vals = self._buffer(w)
-        if n_pis:
-            vals[self._pi_rows2] = pack_codes(pi_codes).reshape(-1, 3, w)
-        _propagate_plan(self._plans, vals)
-        return vals, k
+        vals, vals_ptr = self._buffer(w)
+        args = [
+            codes.ctypes.data, n_pis, k, self._pi_rows_ptr,
+            vals_ptr, w, self._program_ptr, self._n_gates,
+        ]  # fmt: skip
+        return codes, args, vals
+
+    def _count(self, k: int, extra: dict[str, int] | None = None) -> None:
+        """One counter update per kernel call (batch, cone and backend series)."""
+        stats = self._cone.stats
+        if stats is None:
+            return
+        counts = {
+            "batch.runs": 1,
+            "batch.columns": k,
+            "cone.runs": 1,
+            "cone.columns": k,
+            "backend.packed.runs": 1,
+            "backend.packed.columns": k,
+            "backend.packed.words": words_for(k),
+        }
+        if extra:
+            counts.update(extra)
+        stats.counters.update(counts)
 
     def run_codes(self, pi_codes: np.ndarray) -> np.ndarray:
         """Simulate from raw ternary codes over the cone.
@@ -433,16 +424,19 @@ class PackedConeSimulator:
         rows ordered as :attr:`pi_index` in, cone-local codes
         ``(n_cone_nodes, 3, K)`` out -- bit-identical to the numpy kernel.
         """
-        vals, k = self._simulate(pi_codes)
-        pairs = vals[self._node_rows2].reshape(self._cone.n_nodes, 2, 3, -1)
-        return unpack_words(pairs, k)
+        codes, args, vals = self._prepare(pi_codes)
+        self._kernel.repro_propagate(*args)
+        k = codes.shape[2]
+        self._count(k)
+        n = self._cone.n_nodes
+        return unpack_words(vals[: 2 * n].reshape(n, 2, 3, -1), k)
 
     def screen(
         self, pi_codes: np.ndarray, compiled: "CompiledRequirements"
     ) -> tuple[np.ndarray, np.ndarray]:
         """Simulate and check requirements without unpacking node codes.
 
-        ``compiled`` must come from :meth:`localize` (plan row space).
+        ``compiled`` must come from :meth:`localize` (cone-local rows).
         Returns ``(consistent, covered)`` boolean arrays over the ``K``
         columns, exactly equal to the numpy kernel's
         ``consistent_with`` / ``covered_by`` verdicts: a lane contradicts
@@ -450,28 +444,38 @@ class PackedConeSimulator:
         required 0 iff definite 1 (``d1``); it covers iff the definite
         value matches.
         """
-        vals, k = self._simulate(pi_codes)
-        stats = self._cone.stats
-        if stats is not None:
-            stats.count("backend.packed.screens")
-        if compiled.num_components == 0:
-            verdict = np.ones(k, dtype=bool)
-            return verdict, verdict
-        rows2 = 2 * compiled.nodes
-        d1 = vals[rows2, compiled.positions]  # (m, W)
-        np1 = ~vals[rows2 + 1, compiled.positions]
-        req_one = (compiled.values == ONE)[:, None]
-        contradiction = np.where(req_one, np1, d1)
-        satisfied = np.where(req_one, d1, np1)
-        consistent = ~_lane_bools(np.bitwise_or.reduce(contradiction, axis=0), k)
-        covered = _lane_bools(np.bitwise_and.reduce(satisfied, axis=0), k)
-        if stats is not None:
-            stats.count("backend.packed.rejected", int(k - consistent.sum()))
-        return consistent, covered
+        codes, args, _ = self._prepare(pi_codes)
+        screened = self._screened
+        if screened is None or screened[0] is not compiled:
+            screened = self._screened = (compiled, *self._requirement_args(compiled))
+        k = codes.shape[2]
+        verdicts = np.empty((2, k), dtype=bool)  # consistent, covered
+        rejected = self._kernel.repro_screen(*args, *screened[2], verdicts.ctypes.data)
+        self._count(k, {"backend.packed.screens": 1, "backend.packed.rejected": rejected})
+        return verdicts[0], verdicts[1]
+
+    def _requirement_args(self, compiled: "CompiledRequirements") -> tuple[tuple, list]:
+        """Bounds-checked kernel arrays of cone-local requirements, and
+        the kernel arguments pointing at them."""
+        arrays = (
+            np.ascontiguousarray(compiled.nodes, dtype=np.int64),
+            np.ascontiguousarray(compiled.positions, dtype=np.int64),
+            np.ascontiguousarray(compiled.values, dtype=np.int8),
+        )
+        nodes, positions, values = arrays
+        m = len(nodes)
+        if len(positions) != m or len(values) != m or m and (
+            nodes.min() < 0
+            or nodes.max() >= self._cone.n_nodes
+            or positions.min() < 0
+            or positions.max() > 2
+        ):
+            raise ValueError("requirements are not cone-local; pass them through localize()")
+        return arrays, [array.ctypes.data for array in arrays] + [m]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         cone = self._cone
         return (
             f"PackedConeSimulator({cone.netlist.name!r}, {cone.n_nodes} nodes, "
-            f"{len(self._plans)} levels)"
+            f"{self._n_gates} gates)"
         )

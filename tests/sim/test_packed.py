@@ -1,17 +1,20 @@
-"""Packed {0,1,x} backend: packing, kernel equivalence, dispatch.
+"""Packed {0,1,x} backend: packing, kernel equivalence, dispatch, build.
 
 The packed kernel is a pure optimization behind the ``REPRO_BACKEND``
 seam: for every cone, every {0,1,x} input batch and every batch width
-(including widths that do not fill a 64-lane word) it must reproduce the
-numpy reference kernel exactly -- ``run_codes`` values and ``screen``
-verdicts alike.  Hypothesis drives random synthesized cones through
-both; the lane-padding checks mirror the pad-row treatment of the fused
-level kernel (widening a batch must not disturb earlier columns).
+(including widths that do not fill a 64-lane word, and several words) it
+must reproduce the numpy reference kernel exactly -- ``run_codes`` values
+and ``screen`` verdicts alike.  Hypothesis drives random synthesized
+cones through both, and a hand-built netlist covers the gate types the
+synthesizer never emits (XOR, XNOR, BUF, NOT, constants); the
+lane-padding checks mirror the pad-row treatment of the fused level
+kernel (widening a batch must not disturb earlier columns).
 """
 
 from __future__ import annotations
 
 import random
+import sysconfig
 
 import numpy as np
 import pytest
@@ -21,24 +24,58 @@ from hypothesis import strategies as st
 from repro import envflags
 from repro.algebra.ternary import ONE, X, ZERO
 from repro.algebra.triple import Triple
+from repro.circuit import GateType, build_netlist
 from repro.circuit.synth import SynthProfile, generate
 from repro.engine.stats import EngineStats
+from repro.sim import packed as packed_module
 from repro.sim.batch import BatchSimulator, ConeSimulator
 from repro.sim.cover import CompiledRequirements
 from repro.sim.packed import (
     LANES,
+    KernelBuildError,
     PackedConeSimulator,
-    pack_codes,
     unpack_words,
     words_for,
 )
 
 #: Batch widths that stress lane padding: single lane, just below/above
-#: the historic 32-lane layout, and around one full 64-lane word.
-AWKWARD_WIDTHS = (1, 5, 31, 32, 33, 63, 64, 65, 70)
+#: the historic 32-lane layout, around one full 64-lane word, and around
+#: two and four words (the C kernel's word stride).
+AWKWARD_WIDTHS = (1, 5, 31, 32, 33, 63, 64, 65, 70, 127, 128, 129, 257)
+
+
+def mixed_gate_netlist():
+    """Every gate type the packed kernel evaluates, including the ones
+    :mod:`repro.circuit.synth` never emits: XOR, XNOR, BUF, NOT and the
+    two constants, mixed with wide AND/NAND/OR/NOR fanins."""
+    return build_netlist(
+        "mixed",
+        inputs=["a", "b", "c", "d", "e"],
+        gates=[
+            ("t0", GateType.CONST0, []),
+            ("t1", GateType.CONST1, []),
+            ("x2", GateType.XOR, ["a", "b"]),
+            ("x3", GateType.XOR, ["a", "b", "c"]),
+            ("n2", GateType.XNOR, ["c", "d"]),
+            ("n3", GateType.XNOR, ["b", "d", "e"]),
+            ("bf", GateType.BUF, ["x2"]),
+            ("nt", GateType.NOT, ["n2"]),
+            ("g1", GateType.AND, ["bf", "t1", "e"]),
+            ("g2", GateType.NAND, ["nt", "x3"]),
+            ("g3", GateType.OR, ["t0", "n3"]),
+            ("g4", GateType.NOR, ["g1", "t0", "c"]),
+            ("m1", GateType.XNOR, ["g2", "g3", "t1"]),
+            ("m2", GateType.XOR, ["g4", "nt", "t0"]),
+            ("inv", GateType.NOT, ["t1"]),
+            ("out", GateType.AND, ["m1", "m2", "inv", "bf"]),
+        ],
+        outputs=["m1", "m2", "out"],
+    )
 
 
 def synth_netlist(seed: int, style: str):
+    if style == "mixed":
+        return mixed_gate_netlist()
     if style == "mesh":
         profile = SynthProfile(
             name=f"pk{seed}",
@@ -82,6 +119,12 @@ def random_requirements(cone, rng: random.Random) -> CompiledRequirements:
     return CompiledRequirements(requirements)
 
 
+def inputs_only_cone(netlist) -> PackedConeSimulator:
+    """A gate-free cone: ``run_codes`` is exactly pack then unpack."""
+    sim = BatchSimulator(netlist, backend="numpy")
+    return PackedConeSimulator(sim.restricted(netlist.input_indices))
+
+
 class TestPacking:
     def test_words_for(self):
         assert words_for(1) == 1
@@ -90,23 +133,26 @@ class TestPacking:
         assert words_for(0) == 1  # empty batches still get one word
 
     @pytest.mark.parametrize("k", AWKWARD_WIDTHS)
-    def test_round_trip(self, k):
-        np_rng = np.random.default_rng(k)
-        codes = random_codes(np_rng, 7, k)
-        words = pack_codes(codes)
-        assert words.shape == (7, 2, 3, words_for(k))
-        assert np.array_equal(unpack_words(words, k), codes)
+    def test_round_trip(self, k, c17):
+        packed = inputs_only_cone(c17)
+        assert packed.n_nodes == len(c17.input_indices)
+        codes = random_codes(np.random.default_rng(k), packed.n_nodes, k)
+        assert np.array_equal(packed.run_codes(codes), codes)
+        assert packed._buffers[words_for(k)][0].shape[2] == words_for(k)
 
-    def test_padding_lanes_are_zero(self):
+    def test_padding_lanes_are_zero(self, c17):
         # Lanes beyond k must pack as (0, 0): the kernel relies on pad
         # lanes never injecting spurious "possibly 1" bits.
-        codes = np.full((2, 3, 3), ONE, dtype=np.int8)
-        words = pack_codes(codes)
+        packed = inputs_only_cone(c17)
+        codes = np.full((packed.n_nodes, 3, 3), ONE, dtype=np.int8)
+        packed.run_codes(codes)
+        words = packed._buffers[1][0][: 2 * packed.n_nodes]
         mask = np.uint64((1 << 3) - 1)
+        assert np.all(words & mask == mask)
         assert np.all(words & ~mask == 0)
 
     def test_invalid_plane_pair_decodes_as_x(self):
-        # (d1=1, p1=0) is unrepresentable by pack_codes; a defensive
+        # (d1=1, p1=0) is never produced by the kernel; a defensive
         # decode maps it to x rather than inventing a definite value.
         words = np.zeros((1, 2, 3, 1), dtype=np.uint64)
         words[0, 0, :, 0] = 1  # d1 set, p1 clear
@@ -120,7 +166,7 @@ class TestKernelEquivalence:
     @given(data=st.data())
     def test_run_codes_matches_numpy(self, data):
         seed = data.draw(st.integers(0, 10_000))
-        style = data.draw(st.sampled_from(["mesh", "chain"]))
+        style = data.draw(st.sampled_from(["mesh", "chain", "mixed"]))
         k = data.draw(st.sampled_from(AWKWARD_WIDTHS))
         netlist = synth_netlist(seed, style)
         cone = random_cone(netlist, random.Random(seed))
@@ -132,8 +178,9 @@ class TestKernelEquivalence:
     @given(data=st.data())
     def test_screen_matches_reference_predicates(self, data):
         seed = data.draw(st.integers(0, 10_000))
+        style = data.draw(st.sampled_from(["mesh", "mixed"]))
         k = data.draw(st.sampled_from(AWKWARD_WIDTHS))
-        netlist = synth_netlist(seed, "mesh")
+        netlist = synth_netlist(seed, style)
         rng = random.Random(seed)
         cone = random_cone(netlist, rng)
         packed = PackedConeSimulator(cone)
@@ -164,6 +211,49 @@ class TestKernelEquivalence:
             [codes, random_codes(np_rng, len(cone.pi_index), extra)], axis=2
         )
         assert np.array_equal(packed.run_codes(wide)[:, :, :k], narrow)
+
+    @pytest.mark.parametrize("k", AWKWARD_WIDTHS)
+    def test_mixed_gate_types_match_numpy(self, k):
+        # Whole-circuit cone of the hand-built netlist: every gate type,
+        # both constants, at every awkward width.
+        netlist = mixed_gate_netlist()
+        cone = BatchSimulator(netlist, backend="numpy").restricted(
+            netlist.output_indices
+        )
+        assert cone.n_nodes == len(netlist)
+        packed = PackedConeSimulator(cone)
+        rng = random.Random(k)
+        codes = random_codes(np.random.default_rng(k), len(cone.pi_index), k)
+        reference = cone.run_codes(codes)
+        assert np.array_equal(packed.run_codes(codes), reference)
+        for _ in range(5):
+            compiled = random_requirements(cone, rng)
+            local = cone.localize(compiled)
+            consistent, covered = packed.screen(codes, packed.localize(compiled))
+            assert np.array_equal(consistent, local.consistent_with(reference))
+            assert np.array_equal(covered, local.covered_by(reference))
+
+    def test_strided_batch_matches_numpy(self):
+        # A non-contiguous batch is copied before its address reaches C.
+        netlist = mixed_gate_netlist()
+        cone = BatchSimulator(netlist, backend="numpy").restricted(
+            netlist.output_indices
+        )
+        packed = PackedConeSimulator(cone)
+        wide = random_codes(np.random.default_rng(7), len(cone.pi_index), 140)
+        codes = wide[:, :, ::2]
+        assert not codes.flags.c_contiguous
+        assert np.array_equal(packed.run_codes(codes), cone.run_codes(codes))
+
+    def test_screen_rejects_requirements_outside_the_cone(self, c17):
+        sim = BatchSimulator(c17, backend="numpy")
+        cone = sim.restricted([c17.output_indices[0]])
+        packed = PackedConeSimulator(cone)
+        codes = np.full((len(cone.pi_index), 3, 2), X, dtype=np.int8)
+        # Global indices past the cone's rows must never reach the kernel.
+        compiled = CompiledRequirements({len(c17) - 1 + cone.n_nodes: Triple.of(ONE, X, X)})
+        with pytest.raises(ValueError, match="cone-local"):
+            packed.screen(codes, compiled)
 
     def test_rejects_bad_shape(self, c17):
         cone = random_cone(c17, random.Random(0))
@@ -240,3 +330,45 @@ class TestStats:
         # The shared batch/cone series keep counting across backends.
         assert stats.counter("batch.runs") == 1
         assert stats.counter("cone.runs") == 1
+
+
+class TestKernelBuild:
+    """Build and load of the C kernel behind ``backend="packed"``."""
+
+    def test_failing_compiler_names_it_and_leaves_no_file(
+        self, c17, monkeypatch, tmp_path
+    ):
+        real = sysconfig.get_config_var
+        monkeypatch.setattr(
+            sysconfig, "get_config_var", lambda name: "false" if name == "CC" else real(name)
+        )
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(packed_module, "_kernel", None)
+        with pytest.raises(KernelBuildError, match="'false'"):
+            BatchSimulator(c17, backend="packed")
+        assert list((tmp_path / "repro").iterdir()) == []
+        # The numpy backend never needs the compiler.
+        assert BatchSimulator(c17, backend="numpy").backend == "numpy"
+
+    def test_unloadable_cached_file_is_rebuilt_once(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(packed_module, "_kernel", None)
+        path = packed_module._library_path(packed_module._compiler())
+        path.write_bytes(b"not a shared library")
+        builds = []
+        real_build = packed_module._build
+
+        def counting_build(compiler, target):
+            builds.append(target)
+            real_build(compiler, target)
+
+        monkeypatch.setattr(packed_module, "_build", counting_build)
+        lib = packed_module.load_kernel()
+        assert builds == [path]
+        assert hasattr(lib, "repro_screen")
+        assert path.read_bytes() != b"not a shared library"
+        assert [entry.name for entry in path.parent.iterdir()] == [path.name]
+        # A good cached file is loaded as is: no later process rebuilds it.
+        monkeypatch.setattr(packed_module, "_kernel", None)
+        packed_module.load_kernel()
+        assert builds == [path]
