@@ -5,11 +5,8 @@ benchmark circuit's P0, once on the cone-restricted kernel and once with
 ``use_cones=False``.  Both paths produce identical tests (asserted); the
 cone path should win by roughly the circuit-size / cone-size ratio, which
 the engine reports as ``justify.cone_nodes`` vs ``justify.full_nodes``.
-
-The ``cone-packed`` round repeats the cone run on the bit-packed
-{0,1,x} backend (PR 8's tentpole) so the two simulation kernels are
-benchmarked side by side; its identity spot check compares against the
-numpy cone path.
+The cone round runs the compiled {0,1,x} cone kernel, the full round the
+numpy full-netlist level kernel.
 """
 
 import random
@@ -18,7 +15,6 @@ import pytest
 
 from repro.atpg.justify import Justifier
 from repro.atpg.requirements import RequirementSet
-from repro.sim.batch import BatchSimulator
 
 #: Justifications per benchmark round (a fixed slice of P0, pool order).
 SAMPLE = 40
@@ -34,19 +30,11 @@ def _justify_all(justifier, sample, seed):
     return [justifier.justify(requirements, rng) for requirements in sample]
 
 
-@pytest.mark.parametrize(
-    "use_cones,backend",
-    [(True, "numpy"), (False, "numpy"), (True, "packed")],
-    ids=["cone", "full", "cone-packed"],
-)
-def bench_justify(benchmark, circuit_targets, smoke_scale, use_cones, backend):
+@pytest.mark.parametrize("use_cones", [True, False], ids=["cone", "full"])
+def bench_justify(benchmark, circuit_targets, smoke_scale, use_cones):
     name, targets = circuit_targets
     sample = _sample(targets)
-    justifier = Justifier(
-        targets.netlist,
-        simulator=BatchSimulator(targets.netlist, backend=backend),
-        use_cones=use_cones,
-    )
+    justifier = Justifier(targets.netlist, use_cones=use_cones)
     # Warm the cone-compilation cache outside the timed region: a steady-
     # state ATPG run reuses compilations across thousands of calls, and
     # that steady state is what the comparison should measure.
@@ -54,14 +42,10 @@ def bench_justify(benchmark, circuit_targets, smoke_scale, use_cones, backend):
 
     results = benchmark(_justify_all, justifier, sample, smoke_scale.seed)
 
-    # Identity spot check against a reference path: the opposite kernel
-    # for the numpy rounds, the numpy cone path for the packed round.
-    # Same RNG draws, same tests either way.
+    # Identity spot check against the opposite kernel: same RNG draws,
+    # same tests either way.
     reference = _justify_all(
-        Justifier(
-            targets.netlist,
-            use_cones=use_cones if backend == "packed" else not use_cones,
-        ),
+        Justifier(targets.netlist, use_cones=not use_cones),
         sample,
         smoke_scale.seed,
     )

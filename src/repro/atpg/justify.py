@@ -27,20 +27,18 @@ Key properties used for efficiency:
   works, and the remaining inputs are filled with random stable values.
 * all candidate values of one fixpoint round are simulated as a single
   batch (one column per candidate) by :class:`~repro.sim.batch.BatchSimulator`.
-* trial simulation runs on the **cone-restricted** sub-simulator
-  (:meth:`~repro.sim.batch.BatchSimulator.restricted`): the requirements
-  depend only on the transitive-fanin cone of the required lines, so only
-  that cone is simulated.  Codes on cone nodes are identical to a full
+* trial simulation runs on the **cone-restricted** compiled kernel
+  (:meth:`~repro.sim.batch.BatchSimulator.restricted`,
+  :mod:`repro.sim.packed`): the requirements depend only on the
+  transitive-fanin cone of the required lines, so only that cone is
+  simulated, and each fixpoint round screens its whole candidate batch,
+  64 columns per uint64 word pair, in one C call that also computes the
+  (consistent, covered) verdicts.  The verdicts equal those of a full
   simulation (the tested cone-equivalence invariant), and
   ``REPRO_FULL_SIM=1`` (snapshotted per process, :mod:`repro.envflags`)
-  falls back to simulating the whole netlist.
-* under ``REPRO_BACKEND=packed`` the cone simulator is the bit-packed
-  kernel (:mod:`repro.sim.packed`): each fixpoint round screens its whole
-  candidate batch, 64 columns per uint64 word pair, in one compiled C call
-  that also computes the (consistent, covered) verdicts.  The final
-  verification below always runs the numpy
-  full-netlist simulation (scalar-precision verify), so the backend only
-  accelerates trial screening.
+  falls back to simulating the whole netlist on the numpy level kernel.
+  The final verification below always runs the full-netlist numpy
+  simulation, so the cone kernel only accelerates trial screening.
 * the partial assignment is kept as one ``(n_support, 3)`` ternary-code
   array updated in place by :class:`_SearchState`, so fixpoint rounds
   build their candidate batch by array copy instead of re-walking dicts.
@@ -205,12 +203,9 @@ class Justifier:
         return cached
 
     def _cone(self, requirements: RequirementSet) -> ConeSimulator | None:
-        """The cone simulator for a requirement set (None on the full path).
-
-        With ``REPRO_BACKEND=packed`` the returned object is the cone's
-        :class:`~repro.sim.packed.PackedConeSimulator` twin -- same
-        interface plus the packed ``screen`` fast path.
-        """
+        """The compiled cone simulator for a requirement set: the fanin
+        cone of its required lines, whose ``screen`` runs each fixpoint
+        round (None on the full-netlist path)."""
         if not self.use_cones:
             return None
         return self.simulator.restricted(requirements.values.keys())
@@ -250,19 +245,13 @@ class Justifier:
         compiled = requirements.compiled()
         if cone is not None:
             compiled = cone.localize(compiled)
-            simulator = cone
+            simulated_nodes = cone.n_nodes
             full_rows = None
         else:
-            simulator = self.simulator
+            simulated_nodes = self.simulator.n_nodes
             full_rows = np.array(
                 [self._pi_row[pi] for pi in state.support], dtype=np.int64
             )
-        # The packed backend screens the candidate batch directly on its
-        # packed words (no per-node code materialization); decisions depend
-        # only on the exact (consistent, covered) booleans, which are a
-        # tested identity between backends, so the search trace -- and hence
-        # all downstream output -- is byte-identical.
-        screen = getattr(simulator, "screen", None)
         while True:
             if budget is not None:
                 budget.check_deadline(phase, rounds=stats.rounds)
@@ -294,23 +283,22 @@ class Justifier:
             batch[patched_rows, 1, patched_cols] = np.where(
                 (v1 == v3) & (v1 != X), v1, X
             )
-            if screen is not None:
-                consistent, covered_cols = screen(batch, compiled)
-                stats.simulations += 1
-                self._count_sim(k, simulator.n_nodes)
-                if not consistent[0]:
-                    return "conflict"
-                if covered_cols[0]:
-                    return "covered"
+            # Decisions depend only on the (consistent, covered) booleans;
+            # the cone's C screen computes them exactly as the full-netlist
+            # predicates below (a tested identity), so both paths give the
+            # same search trace.
+            if cone is not None:
+                consistent, covered = cone.screen(batch, compiled)
             else:
-                sim = simulator.run_codes(batch)
-                stats.simulations += 1
-                self._count_sim(k, simulator.n_nodes)
+                sim = self.simulator.run_codes(batch)
                 consistent = compiled.consistent_with(sim)
-                if not consistent[0]:
-                    return "conflict"
-                if compiled.covered_by(sim[:, :, :1])[0]:
-                    return "covered"
+                covered = compiled.covered_by(sim[:, :, :1])
+            stats.simulations += 1
+            self._count_sim(k, simulated_nodes)
+            if not consistent[0]:
+                return "conflict"
+            if covered[0]:
+                return "covered"
             zero_ok = consistent[col_zero]
             one_ok = consistent[col_one]
             if (~zero_ok & ~one_ok).any():

@@ -1,15 +1,11 @@
 """Process-wide environment escape hatches, read once.
 
-The hot kernels consult three knobs:
+The hot kernels consult two knobs:
 
 * ``REPRO_SCALAR_COVER=1`` -- fall back to the per-fault covering loops
   (fault simulation *and* the generator's batched candidate screening);
 * ``REPRO_FULL_SIM=1``     -- justify on the full netlist instead of the
-  cone-restricted sub-simulator;
-* ``REPRO_BACKEND=<name>`` -- simulation backend for the justifier's
-  candidate screening: ``numpy`` (default, the int8 level kernel) or
-  ``packed`` (2-bit {0,1,x} codes, 64 columns per uint64 word pair,
-  evaluated by a compiled C kernel, see :mod:`repro.sim.packed`).
+  cone-restricted sub-simulator.
 
 The engine layer consults one more:
 
@@ -33,13 +29,10 @@ from functools import lru_cache
 __all__ = [
     "SCALAR_COVER_ENV",
     "FULL_SIM_ENV",
-    "BACKEND_ENV",
     "ARTIFACT_CACHE_ENV",
-    "BACKENDS",
     "flag_enabled",
     "scalar_cover_requested",
     "full_sim_requested",
-    "simulation_backend",
     "artifact_cache_dir",
     "reset",
 ]
@@ -50,14 +43,8 @@ SCALAR_COVER_ENV = "REPRO_SCALAR_COVER"
 #: Force the justifier to simulate the whole netlist (no cone restriction).
 FULL_SIM_ENV = "REPRO_FULL_SIM"
 
-#: Select the simulation backend ("numpy" or "packed").
-BACKEND_ENV = "REPRO_BACKEND"
-
 #: Directory of the persistent artifact cache (default: disabled).
 ARTIFACT_CACHE_ENV = "REPRO_ARTIFACT_CACHE"
-
-#: Implemented backends, in preference order.
-BACKENDS = ("numpy", "packed")
 
 _TRUTHY = ("1", "true", "yes", "on")
 
@@ -66,11 +53,6 @@ _TRUTHY = ("1", "true", "yes", "on")
 def flag_enabled(name: str) -> bool:
     """Truthiness of environment variable ``name``, cached per process."""
     return os.environ.get(name, "").strip().lower() in _TRUTHY
-
-
-@lru_cache(maxsize=None)
-def _env_value(name: str) -> str:
-    return os.environ.get(name, "").strip().lower()
 
 
 def scalar_cover_requested() -> bool:
@@ -83,23 +65,9 @@ def full_sim_requested() -> bool:
     return flag_enabled(FULL_SIM_ENV)
 
 
-def simulation_backend() -> str:
-    """The ``REPRO_BACKEND`` selection, validated ("numpy" when unset).
-
-    Unknown names raise :class:`ValueError` -- a typo must not silently
-    fall back to the default backend.
-    """
-    raw = _env_value(BACKEND_ENV)
-    if not raw:
-        return "numpy"
-    if raw not in BACKENDS:
-        raise ValueError(f"unknown {BACKEND_ENV}={raw!r}; expected one of {BACKENDS}")
-    return raw
-
-
 @lru_cache(maxsize=None)
 def _env_path(name: str) -> str:
-    # Like _env_value but case-preserving: the value is a filesystem path.
+    # Case-preserving: the value is a filesystem path.
     return os.environ.get(name, "").strip()
 
 
@@ -116,5 +84,4 @@ def artifact_cache_dir() -> str | None:
 def reset() -> None:
     """Drop the cached snapshots (tests re-read the environment after this)."""
     flag_enabled.cache_clear()
-    _env_value.cache_clear()
     _env_path.cache_clear()

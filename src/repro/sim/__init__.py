@@ -4,7 +4,6 @@ from .batch import BatchSimulator, ConeSimulator
 from .cover import CompiledRequirements, StackedRequirements
 from .faultsim import FaultSimulator, detected_count, detection_matrix
 from .logicsim import simulate_logic
-from .packed import PackedConeSimulator
 from .scalar import simulate_triples
 from .testfile import (
     TestFileError,
@@ -19,7 +18,6 @@ from .waveform import render_test, render_waveforms
 __all__ = [
     "BatchSimulator",
     "ConeSimulator",
-    "PackedConeSimulator",
     "CompiledRequirements",
     "StackedRequirements",
     "FaultSimulator",

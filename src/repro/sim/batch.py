@@ -16,13 +16,16 @@ The netlist is compiled once into per-level groups keyed by
 ``(gate_type, arity)``; each group evaluates with a handful of numpy
 operations regardless of its gate count.
 
-:meth:`BatchSimulator.restricted` compiles the same kernel over just the
-transitive-fanin cone of a node set.  Justification only ever inspects the
-values of its required lines, which depend exclusively on that cone, so the
-cone simulator produces *identical* codes on cone nodes at a fraction of
-the per-column cost (see :class:`ConeSimulator`).  Compilations live in one
-LRU map keyed by the resolved cone (a fanin-cone bitmask), so the many
-overlapping requirement sets of one ATPG run share them.
+:meth:`BatchSimulator.restricted` compiles just the transitive-fanin cone
+of a node set, fused the same way, into the gate program of the compiled
+{0,1,x} kernel (:class:`~repro.sim.packed.ConeSimulator`).  Justification
+only ever inspects the values of its required lines, which depend
+exclusively on that cone, so the cone simulator produces *identical* codes
+on cone nodes at a fraction of the per-column cost.  Compilations live in
+one LRU map keyed by the resolved cone (a fanin-cone bitmask), so the many
+overlapping requirement sets of one ATPG run share them.  This module's
+level kernel stays the full-netlist simulator and the reference the cone
+kernel is tested against.
 """
 
 from __future__ import annotations
@@ -33,11 +36,11 @@ from typing import Iterable
 
 import numpy as np
 
-from ..algebra.ternary import FROM_ORD, ONE, TO_ORD, X, ZERO
+from ..algebra.ternary import FROM_ORD, TO_ORD, X
 from ..algebra.triple import Triple
 from ..circuit.analysis import input_cone
 from ..circuit.netlist import GateType, Netlist
-from ..envflags import BACKENDS, simulation_backend
+from .packed import _N_PAD, ConeSimulator, load_kernel
 
 __all__ = ["BatchSimulator", "ConeSimulator", "LRU_CACHE_SIZE"]
 
@@ -95,10 +98,6 @@ _FAMILY = {
     GateType.XOR: ("xor", False),
     GateType.XNOR: ("xor", True),
 }
-
-#: Extra value-state rows appended after the node rows: the ``min`` pad
-#: (held at ordered 2) and the ``max``/``xor`` pad (held at ordered 0).
-_N_PAD = 2
 
 
 def _compile_levels(
@@ -204,39 +203,27 @@ class BatchSimulator:
     and reuse (compilation walks the whole circuit).
     """
 
-    def __init__(self, netlist: Netlist, stats=None, backend: str | None = None) -> None:
+    def __init__(self, netlist: Netlist, stats=None) -> None:
         """``stats`` is an optional :class:`~repro.engine.stats.EngineStats`;
         when set, every ``run_codes`` call records ``batch.runs`` and
         ``batch.columns``, and :meth:`restricted` records ``cone.hit`` /
         ``cone.miss`` / ``cone.compile``.
 
-        ``backend`` selects the cone-screening kernel ("numpy" or
-        "packed"); ``None`` snapshots :func:`repro.envflags.simulation_backend`
-        (the ``REPRO_BACKEND`` seam).  The full-netlist entry points below
-        always run the numpy kernel -- the packed backend only changes what
-        :meth:`restricted` hands to the justifier.  A packed simulator
-        builds or loads the compiled kernel here
-        (:func:`repro.sim.packed.load_kernel`), raising
+        The full-netlist entry points below run the numpy level kernel;
+        :meth:`restricted` cones run the compiled C kernel, which is built
+        or loaded here (:func:`repro.sim.packed.load_kernel`), raising
         :class:`~repro.sim.packed.KernelBuildError` without a working C
         compiler.
         """
         self.netlist = netlist
         self.stats = stats
-        self.backend = simulation_backend() if backend is None else backend
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
-            )
         self.n_nodes = len(netlist)
         self.pi_index = np.array(netlist.input_indices, dtype=np.int64)
         self._pi_pos = {int(node): row for row, node in enumerate(self.pi_index)}
         self._levels, self._const0, self._const1 = _compile_levels(
             netlist, netlist.topo_order, self.n_nodes
         )
-        if self.backend == "packed":
-            from .packed import load_kernel
-
-            load_kernel()
+        load_kernel()
         # Fanin-cone bitmask per node (bit i = dense index i), computed on
         # the first restricted() call; cone mask -> ConeSimulator, LRU-bounded.
         self._cone_masks: list[int] | None = None
@@ -246,8 +233,8 @@ class BatchSimulator:
     # Public entry points
     # ------------------------------------------------------------------
 
-    def restricted(self, nodes: Iterable[int]) -> "ConeSimulator":
-        """Cone-restricted sub-simulator for the fanin cone of ``nodes``.
+    def restricted(self, nodes: Iterable[int]) -> ConeSimulator:
+        """The compiled cone simulator for the fanin cone of ``nodes``.
 
         The cone is the transitive-fanin closure
         (:func:`repro.circuit.analysis.input_cone`) of the seed set -- the
@@ -270,7 +257,7 @@ class BatchSimulator:
             self._cones.move_to_end(key)
             if self.stats is not None:
                 self.stats.count("cone.hit")
-            return self._dispatch(cone_sim)
+            return cone_sim
         if self.stats is not None:
             self.stats.count("cone.miss")
             self.stats.count("cone.compile")
@@ -278,7 +265,7 @@ class BatchSimulator:
         cone_sim = self._cones[key] = ConeSimulator(self, cone)
         while len(self._cones) > LRU_CACHE_SIZE:
             self._cones.popitem(last=False)
-        return self._dispatch(cone_sim)
+        return cone_sim
 
     def _fanin_cone_masks(self) -> list[int]:
         """One transitive-fanin bitmask per node, built in topological order."""
@@ -290,24 +277,6 @@ class BatchSimulator:
                 mask |= masks[ref]
             masks[index] = mask
         return masks
-
-    def _dispatch(self, cone_sim: "ConeSimulator"):
-        """Wrap a cached cone in the selected backend's simulator.
-
-        The packed twin shares the cone's compiled levels and is cached on
-        the cone itself, so its lifetime follows the cone LRU entries.
-        """
-        if self.backend != "packed":
-            return cone_sim
-        packed = getattr(cone_sim, "_packed_twin", None)
-        if packed is None:
-            from .packed import PackedConeSimulator
-
-            packed = PackedConeSimulator(cone_sim)
-            cone_sim._packed_twin = packed
-            if self.stats is not None:
-                self.stats.count("backend.packed.cones")
-        return packed
 
     def run_codes(self, pi_codes: np.ndarray) -> np.ndarray:
         """Simulate from raw ternary codes.
@@ -372,87 +341,3 @@ class BatchSimulator:
         mid = np.where((first == second) & (first != X), first, X).astype(np.int8)
         pi_codes = np.stack([first, mid, second], axis=1).astype(np.int8)
         return self.run_codes(pi_codes)
-
-
-class ConeSimulator:
-    """The level-grouped kernel compiled over one fanin-closed cone.
-
-    Rows of every input/output array are *cone-local*: row ``i`` holds the
-    node with global dense index ``nodes[i]`` (ascending).  ``pi_index``
-    lists the cone's primary inputs as global indices -- exactly the
-    support inputs of the seed set -- and defines the row order of
-    ``run_codes`` input columns.
-
-    Invariant (tested property): for any input assignment,
-    ``run_codes`` equals the full :class:`BatchSimulator` result restricted
-    to ``nodes``, because the cone is fanin-closed and primary inputs
-    outside it cannot influence any cone node.
-    """
-
-    def __init__(self, parent: BatchSimulator, cone: frozenset[int]) -> None:
-        netlist = parent.netlist
-        self.netlist = netlist
-        self.stats = parent.stats
-        self.nodes = np.array(sorted(cone), dtype=np.int64)
-        self.n_nodes = len(self.nodes)
-        self.global_to_local = np.full(len(netlist), -1, dtype=np.int64)
-        self.global_to_local[self.nodes] = np.arange(self.n_nodes)
-        self.pi_index = np.array(
-            [pi for pi in netlist.input_indices if pi in cone], dtype=np.int64
-        )
-        #: The cone's primary inputs as plain ints (the support of the seed
-        #: nodes, ascending) -- row order of ``run_codes`` inputs.
-        self.support = [int(pi) for pi in self.pi_index]
-        self._pi_local = self.global_to_local[self.pi_index]
-        remap = {int(g): int(l) for g, l in zip(self.nodes, range(self.n_nodes))}
-        self._levels, self._const0, self._const1 = _compile_levels(
-            netlist, [int(index) for index in self.nodes], self.n_nodes, remap
-        )
-
-    def local_indices(self, global_indices: np.ndarray) -> np.ndarray:
-        """Map global dense indices to cone-local rows (-1 when outside)."""
-        return self.global_to_local[global_indices]
-
-    def localize(self, compiled):
-        """Remap a :class:`~repro.sim.cover.CompiledRequirements` into
-        cone-local rows; every requirement node must lie inside the cone."""
-        return compiled.remapped(self.global_to_local)
-
-    def run_codes(self, pi_codes: np.ndarray) -> np.ndarray:
-        """Simulate from raw ternary codes over the cone.
-
-        ``pi_codes``: int8 array ``(n_cone_pis, 3, K)``, rows ordered as
-        :attr:`pi_index`.  Returns ``(n_cone_nodes, 3, K)`` cone-local
-        codes.
-        """
-        n_pis, three, k = pi_codes.shape
-        if three != 3 or n_pis != len(self.pi_index):
-            raise ValueError(
-                f"expected shape ({len(self.pi_index)}, 3, K), got {pi_codes.shape}"
-            )
-        if self.stats is not None:
-            self.stats.count("batch.runs")
-            self.stats.count("batch.columns", k)
-            self.stats.count("cone.runs")
-            self.stats.count("cone.columns", k)
-        vals = np.full((3, self.n_nodes + _N_PAD, k), _ORDX, dtype=np.int8)
-        vals[:, self.n_nodes, :] = _ORD1  # min-family pad (neutral for min)
-        vals[:, self.n_nodes + 1, :] = _ORD0  # max/xor-family pad
-        if n_pis:
-            vals[:, self._pi_local, :] = TO_ORD[pi_codes].transpose(1, 0, 2)
-        if self._const0.size:
-            vals[:, self._const0, :] = _ORD0
-        if self._const1.size:
-            vals[:, self._const1, :] = _ORD1
-        _propagate(self._levels, vals)
-        out = FROM_ORD[vals[:, : self.n_nodes, :]]
-        # The transpose view keeps the test axis contiguous (stride 1),
-        # which is what every downstream fancy-indexing consumer gathers
-        # along; materializing a C-contiguous copy buys nothing.
-        return out.transpose(1, 0, 2)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ConeSimulator({self.netlist.name!r}, {self.n_nodes}/"
-            f"{len(self.netlist)} nodes, {len(self.pi_index)} PIs)"
-        )

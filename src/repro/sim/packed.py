@@ -1,11 +1,10 @@
-"""Bit-packed {0,1,x} simulation backend (``REPRO_BACKEND=packed``).
+"""The compiled {0,1,x} cone kernel: the justifier's trial simulator.
 
 Packs the batch columns of the justifier's trial simulations into uint64
 words, 2 bits per ternary value, and evaluates the cone with word-wide
 bitwise ops in a small compiled C loop (``_packed_kernel.c``): one call
 packs the batch, propagates every gate and reduces the requirement
-verdicts, so a whole fixpoint round costs one foreign call instead of a
-few numpy calls per level.
+verdicts, so a whole fixpoint round costs one foreign call.
 
 Encoding
 --------
@@ -34,19 +33,20 @@ State layout and the gate program
 The packed state folds the plane axis into the row axis: row ``2i`` holds
 cone-local node ``i``'s ``d1`` words, row ``2i + 1`` its ``p1`` words
 (shape ``(2 * (n_nodes + 2), 3, W)``).  :func:`_compile_plan` flattens the
-cone's fused levels once into a *gate program*: one int64 record per gate,
-in level order, holding its op (AND/NAND/OR/NOR/XOR/XNOR), its output row
-pair and its fanin row pairs.  The NOT half of NAND/NOR is compiled into
-the fanin pairs as a plane swap -- ``(2j + 1, 2j)`` instead of
-``(2j, 2j + 1)`` -- since plane permutation commutes with the plane-wise
-AND/OR, so ``NAND = ~ AND(swapped inputs)`` and ``NOR = ~ OR(swapped
-inputs)``.  BUF and NOT are one-input AND and NAND.
+cone's fused levels (:func:`repro.sim.batch._compile_levels`) once into a
+*gate program*: one int64 record per gate, in level order, holding its op
+(AND/NAND/OR/NOR/XOR/XNOR), its output row pair and its fanin row pairs.
+The NOT half of NAND/NOR is compiled into the fanin pairs as a plane swap
+-- ``(2j + 1, 2j)`` instead of ``(2j, 2j + 1)`` -- since plane permutation
+commutes with the plane-wise AND/OR, so ``NAND = ~ AND(swapped inputs)``
+and ``NOR = ~ OR(swapped inputs)``.  BUF and NOT are one-input AND and
+NAND.
 
-Lane padding mirrors the numpy kernel's pad-*row* treatment: when ``K``
+Lane padding mirrors the level kernel's pad-*row* treatment: when ``K``
 is not a multiple of 64, the trailing lanes of the last word pair hold
 constant 0 -- lanes never interact, so any valid ternary constant is inert
 by construction, and the first ``K`` lanes are unaffected by batch
-widening (tested property).  The numpy kernel's two pad *rows* pad each
+widening (tested property).  The level kernel's two pad *rows* pad each
 fused gate's fanins to its family's arity: the min-family pad holds
 constant 1 (all-ones in both planes), the max/xor-family pad constant 0;
 both are symmetric across planes, so swapped pad operands stay neutral.
@@ -60,23 +60,21 @@ The C source is compiled with the system C compiler (``sysconfig``'s
 ``${XDG_CACHE_HOME:-~/.cache}/repro/`` (else the temp directory), named by
 a digest of the source, the compiler command and the platform, and
 published with a temp file plus :func:`os.replace`, so concurrent pool
-workers never see a partial file.  Constructing a packed
-:class:`~repro.sim.batch.BatchSimulator` builds or loads it; a missing or
-failing compiler is a :class:`KernelBuildError` naming the compiler, never
-a silent fallback.
+workers never see a partial file.  Every
+:class:`~repro.sim.batch.BatchSimulator` builds or loads it at
+construction; a missing or failing compiler is a :class:`KernelBuildError`
+naming the compiler, never a silent fallback.
 
-Dispatch
---------
+The cone simulator
+------------------
 
-:meth:`repro.sim.batch.BatchSimulator.restricted` wraps each cached
-:class:`~repro.sim.batch.ConeSimulator` in a lazily-attached packed twin
-when the backend resolves to ``packed`` (the ``REPRO_BACKEND`` seam in
-:mod:`repro.envflags`).  The twin implements the ``ConeSimulator``
-interface -- ``run_codes`` returns identical unpacked int8 codes in the
-parent's row order -- plus :meth:`PackedConeSimulator.screen`, the
-justifier's fast path that computes the (consistent, covered) verdicts
-against a :class:`~repro.sim.cover.CompiledRequirements` inside the C
-call, without materializing per-node codes.
+:meth:`repro.sim.batch.BatchSimulator.restricted` hands the justifier a
+:class:`ConeSimulator`: the cone's metadata, its gate program and its
+state buffers.  :meth:`ConeSimulator.run_codes` returns unpacked int8
+codes, and :meth:`ConeSimulator.screen` -- the justifier's per-round
+entry -- computes the (consistent, covered) verdicts against a
+:class:`~repro.sim.cover.CompiledRequirements` inside the C call, without
+materializing per-node codes.
 """
 
 from __future__ import annotations
@@ -96,16 +94,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..algebra.ternary import ONE, X, ZERO
-from .batch import _N_PAD
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (batch dispatches here)
-    from .batch import ConeSimulator
+if TYPE_CHECKING:  # pragma: no cover - batch imports this module
+    from .batch import BatchSimulator, _Fused
     from .cover import CompiledRequirements
 
 __all__ = [
     "LANES",
+    "ConeSimulator",
     "KernelBuildError",
-    "PackedConeSimulator",
     "load_kernel",
     "unpack_words",
     "words_for",
@@ -113,6 +110,11 @@ __all__ = [
 
 #: Batch columns per uint64 word pair (2 bits per {0,1,x} value).
 LANES = 64
+
+#: Extra value-state rows appended after the node rows, shared with the
+#: level kernel in :mod:`repro.sim.batch`: the ``min`` pad (constant 1)
+#: and the ``max``/``xor`` pad (constant 0).
+_N_PAD = 2
 
 _ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -263,8 +265,8 @@ def load_kernel() -> ctypes.CDLL:
 # ----------------------------------------------------------------------
 
 
-def _compile_plan(cone: "ConeSimulator") -> tuple[np.ndarray, int]:
-    """Flatten the cone's fused levels into the C kernel's gate program.
+def _compile_plan(levels: "list[list[_Fused]]") -> tuple[np.ndarray, int]:
+    """Flatten a cone's fused levels into the C kernel's gate program.
 
     Returns ``(program, n_gates)``: per gate, in level order, the record
     ``op, n_in, out_row, a_0, b_0, a_1, b_1, ...`` of state rows -- the
@@ -274,7 +276,7 @@ def _compile_plan(cone: "ConeSimulator") -> tuple[np.ndarray, int]:
     """
     program: list[int] = []
     n_gates = 0
-    for fused_groups in cone._levels:
+    for fused_groups in levels:
         for fused in fused_groups:
             inverted = np.zeros(len(fused.out_idx), dtype=bool)
             if fused.invert_all:
@@ -295,30 +297,54 @@ def _compile_plan(cone: "ConeSimulator") -> tuple[np.ndarray, int]:
     return np.array(program, dtype=np.int64), n_gates
 
 
-class PackedConeSimulator:
-    """Packed-word twin of one :class:`~repro.sim.batch.ConeSimulator`.
+class ConeSimulator:
+    """The compiled kernel over one fanin-closed cone.
 
-    Compiles the parent cone's fused levels once into a gate program and
-    implements the same interface -- :meth:`run_codes` returns identical
-    int8 codes in the parent's row order -- plus :meth:`screen`, the
-    justifier's fast path.  Constructed lazily by
-    :meth:`repro.sim.batch.BatchSimulator._dispatch` and cached on the
-    cone, so plan compilation amortizes exactly like the cone LRU.
+    Rows of every input/output array are *cone-local*: row ``i`` holds the
+    node with global dense index ``nodes[i]`` (ascending).  ``pi_index``
+    lists the cone's primary inputs as global indices -- exactly the
+    support inputs of the seed set -- and defines the row order of the
+    ``run_codes`` and ``screen`` input batches.
 
-    The packed state buffers are cached per word count and reused across
-    simulations: every input and gate row is overwritten by each kernel
-    call, so only the pad/const rows carry state between calls -- and
-    those are written once at buffer creation.
+    Invariant (tested property): for any input assignment,
+    :meth:`run_codes` equals the full-netlist
+    :meth:`repro.sim.batch.BatchSimulator.run_codes` result restricted to
+    ``nodes``, because the cone is fanin-closed and primary inputs outside
+    it cannot influence any cone node; :meth:`screen` equals the
+    ``consistent_with`` / ``covered_by`` verdicts on those codes.
+
+    The cone compiles once into a gate program, cached with the cone in
+    the parent's LRU map.  The packed state buffers are cached per word
+    count and reused across simulations: every input and gate row is
+    overwritten by each kernel call, so only the pad/const rows carry
+    state between calls -- and those are written once at buffer creation.
     """
 
-    #: Dispatch tag consumed by tests and stats consumers.
-    backend = "packed"
+    def __init__(self, parent: "BatchSimulator", cone: frozenset[int]) -> None:
+        from .batch import _compile_levels  # batch imports this module
 
-    def __init__(self, cone: "ConeSimulator") -> None:
+        netlist = parent.netlist
+        self.netlist = netlist
+        self.stats = parent.stats
+        self.nodes = np.array(sorted(cone), dtype=np.int64)
+        self.n_nodes = len(self.nodes)
+        self.global_to_local = np.full(len(netlist), -1, dtype=np.int64)
+        self.global_to_local[self.nodes] = np.arange(self.n_nodes)
+        self.pi_index = np.array(
+            [pi for pi in netlist.input_indices if pi in cone], dtype=np.int64
+        )
+        #: The cone's primary inputs as plain ints (the support of the seed
+        #: nodes, ascending) -- row order of the input batches.
+        self.support = [int(pi) for pi in self.pi_index]
+        nodes = self.nodes.tolist()
+        levels, self._const0, self._const1 = _compile_levels(
+            netlist, nodes, self.n_nodes, {node: row for row, node in enumerate(nodes)}
+        )
         self._kernel = load_kernel()
-        self._cone = cone
-        self._program, self._n_gates = _compile_plan(cone)
-        self._pi_rows = np.ascontiguousarray(2 * cone._pi_local, dtype=np.int64)
+        self._program, self._n_gates = _compile_plan(levels)
+        self._pi_rows = np.ascontiguousarray(
+            2 * self.global_to_local[self.pi_index], dtype=np.int64
+        )
         self._pi_rows_ptr = self._pi_rows.ctypes.data
         self._program_ptr = self._program.ctypes.data
         #: Word count -> (state buffer, its address).
@@ -327,55 +353,19 @@ class PackedConeSimulator:
         #: screen: a fixpoint screens one requirement set round after round.
         self._screened: tuple | None = None
 
-    # -- ConeSimulator interface (delegated metadata) -------------------
-
-    @property
-    def netlist(self):
-        return self._cone.netlist
-
-    @property
-    def stats(self):
-        return self._cone.stats
-
-    @property
-    def nodes(self):
-        return self._cone.nodes
-
-    @property
-    def n_nodes(self):
-        return self._cone.n_nodes
-
-    @property
-    def global_to_local(self):
-        return self._cone.global_to_local
-
-    @property
-    def pi_index(self):
-        return self._cone.pi_index
-
-    @property
-    def support(self):
-        return self._cone.support
-
-    def local_indices(self, global_indices: np.ndarray) -> np.ndarray:
-        """Map global dense indices to cone-local rows (-1 when outside)."""
-        return self._cone.local_indices(global_indices)
-
     def localize(self, compiled: "CompiledRequirements") -> "CompiledRequirements":
-        """Remap requirements into cone-local rows (what :meth:`screen` reads)."""
-        return self._cone.localize(compiled)
-
-    # -- Simulation -----------------------------------------------------
+        """Remap requirements into cone-local rows (what :meth:`screen`
+        reads); every requirement node must lie inside the cone."""
+        return compiled.remapped(self.global_to_local)
 
     def _buffer(self, w: int) -> tuple[np.ndarray, int]:
         cached = self._buffers.get(w)
         if cached is None:
-            cone = self._cone
-            n2 = 2 * cone.n_nodes
+            n2 = 2 * self.n_nodes
             vals = np.empty((n2 + 2 * _N_PAD, 3, w), dtype=np.uint64)
             vals[n2 : n2 + 2] = _ALL  # min-family pad: constant 1
             vals[n2 + 2 : n2 + 4] = 0  # max/xor-family pad: constant 0
-            for rows, value in ((cone._const0, 0), (cone._const1, _ALL)):
+            for rows, value in ((self._const0, 0), (self._const1, _ALL)):
                 vals[2 * rows] = value
                 vals[2 * rows + 1] = value
             cached = self._buffers[w] = (vals, vals.ctypes.data)
@@ -386,9 +376,9 @@ class PackedConeSimulator:
         caller keeps them alive across the kernel call), the kernel
         arguments shared by both entries, and the state buffer."""
         n_pis, three, k = pi_codes.shape
-        if three != 3 or n_pis != len(self._cone.pi_index):
+        if three != 3 or n_pis != len(self.pi_index):
             raise ValueError(
-                f"expected shape ({len(self._cone.pi_index)}, 3, K), got {pi_codes.shape}"
+                f"expected shape ({len(self.pi_index)}, 3, K), got {pi_codes.shape}"
             )
         codes = np.ascontiguousarray(pi_codes, dtype=np.int8)
         w = words_for(k)
@@ -400,9 +390,8 @@ class PackedConeSimulator:
         return codes, args, vals
 
     def _count(self, k: int, extra: dict[str, int] | None = None) -> None:
-        """One counter update per kernel call (batch, cone and backend series)."""
-        stats = self._cone.stats
-        if stats is None:
+        """One counter update per kernel call (batch, cone and kernel series)."""
+        if self.stats is None:
             return
         counts = {
             "batch.runs": 1,
@@ -415,20 +404,20 @@ class PackedConeSimulator:
         }
         if extra:
             counts.update(extra)
-        stats.counters.update(counts)
+        self.stats.counters.update(counts)
 
     def run_codes(self, pi_codes: np.ndarray) -> np.ndarray:
         """Simulate from raw ternary codes over the cone.
 
-        Same contract as :meth:`repro.sim.batch.ConeSimulator.run_codes`:
-        rows ordered as :attr:`pi_index` in, cone-local codes
-        ``(n_cone_nodes, 3, K)`` out -- bit-identical to the numpy kernel.
+        ``pi_codes``: int8 array ``(n_cone_pis, 3, K)``, rows ordered as
+        :attr:`pi_index`.  Returns ``(n_cone_nodes, 3, K)`` cone-local
+        codes.
         """
         codes, args, vals = self._prepare(pi_codes)
         self._kernel.repro_propagate(*args)
         k = codes.shape[2]
         self._count(k)
-        n = self._cone.n_nodes
+        n = self.n_nodes
         return unpack_words(vals[: 2 * n].reshape(n, 2, 3, -1), k)
 
     def screen(
@@ -438,11 +427,10 @@ class PackedConeSimulator:
 
         ``compiled`` must come from :meth:`localize` (cone-local rows).
         Returns ``(consistent, covered)`` boolean arrays over the ``K``
-        columns, exactly equal to the numpy kernel's
-        ``consistent_with`` / ``covered_by`` verdicts: a lane contradicts
-        a required 1 iff its value is a definite 0 (``~p1``) and a
-        required 0 iff definite 1 (``d1``); it covers iff the definite
-        value matches.
+        columns, exactly equal to ``consistent_with`` / ``covered_by`` on
+        the :meth:`run_codes` result: a lane contradicts a required 1 iff
+        its value is a definite 0 (``~p1``) and a required 0 iff definite 1
+        (``d1``); it covers iff the definite value matches.
         """
         codes, args, _ = self._prepare(pi_codes)
         screened = self._screened
@@ -466,7 +454,7 @@ class PackedConeSimulator:
         m = len(nodes)
         if len(positions) != m or len(values) != m or m and (
             nodes.min() < 0
-            or nodes.max() >= self._cone.n_nodes
+            or nodes.max() >= self.n_nodes
             or positions.min() < 0
             or positions.max() > 2
         ):
@@ -474,8 +462,13 @@ class PackedConeSimulator:
         return arrays, [array.ctypes.data for array in arrays] + [m]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        cone = self._cone
         return (
-            f"PackedConeSimulator({cone.netlist.name!r}, {cone.n_nodes} nodes, "
+            f"ConeSimulator({self.netlist.name!r}, {self.n_nodes}/"
+            f"{len(self.netlist)} nodes, {len(self.pi_index)} PIs, "
             f"{self._n_gates} gates)"
         )
+
+
+#: The former name of :class:`ConeSimulator`, kept because perfbench's
+#: tracer imports it.
+PackedConeSimulator = ConeSimulator

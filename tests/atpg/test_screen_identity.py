@@ -1,9 +1,9 @@
 """Output identity of the fast paths against their reference paths.
 
-The cone-restricted justifier and the batched candidate screening are pure
-optimizations: both must reproduce the reference pipeline (full-netlist
-simulation, per-candidate scalar screening) bit for bit, RNG draws
-included.  These tests run the full generator matrix -- cone on/off x
+The cone-restricted justifier (the compiled C kernel) and the batched
+candidate screening are pure optimizations: both must reproduce the
+reference pipeline (numpy full-netlist simulation, per-candidate scalar
+screening) bit for bit, RNG draws included.  These tests run the full generator matrix -- cone on/off x
 vectorized on/off -- and require identical test sets.
 """
 
@@ -114,43 +114,6 @@ class TestGeneratorIdentity:
             use_cones=True, vectorized=True, seed=12,
         )
         assert fingerprint(a) != fingerprint(b)
-
-
-class TestBackendIdentity:
-    """The packed backend must reproduce the numpy generator bit for bit."""
-
-    def _packed(self, monkeypatch, netlist, pools, heuristic):
-        try:
-            monkeypatch.setenv(envflags.BACKEND_ENV, "packed")
-            envflags.reset()
-            return run(
-                netlist, pools, heuristic, use_cones=True, vectorized=True
-            )
-        finally:
-            monkeypatch.undo()
-            envflags.reset()
-
-    @pytest.mark.parametrize("heuristic", ["values", "length", "arbit"])
-    def test_s27(self, s27, s27_pools, heuristic, monkeypatch):
-        reference = run(
-            s27, s27_pools, heuristic, use_cones=True, vectorized=True
-        )
-        packed = self._packed(monkeypatch, s27, s27_pools, heuristic)
-        assert fingerprint(packed) == fingerprint(reference)
-
-    def test_c17(self, c17, c17_pools, monkeypatch):
-        reference = run(
-            c17, c17_pools, "values", use_cones=True, vectorized=True
-        )
-        packed = self._packed(monkeypatch, c17, c17_pools, "values")
-        assert fingerprint(packed) == fingerprint(reference)
-
-    def test_synthetic_proxy(self, tiny_chain, chain_pools, monkeypatch):
-        reference = run(
-            tiny_chain, chain_pools, "values", use_cones=True, vectorized=True
-        )
-        packed = self._packed(monkeypatch, tiny_chain, chain_pools, "values")
-        assert fingerprint(packed) == fingerprint(reference)
 
 
 class TestEnvEscapeHatches:

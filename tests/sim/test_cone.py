@@ -108,9 +108,8 @@ class TestConeEquivalence:
         assert cone_sim.n_nodes == len(expected)
 
     def test_localize_roundtrip(self, s27):
-        # ConeSimulator-specific contract: local rows index cone.nodes.
-        # (The packed twin's localize maps further, into plan rows.)
-        full = BatchSimulator(s27, backend="numpy")
+        # ConeSimulator contract: local rows index cone.nodes.
+        full = BatchSimulator(s27)
         seeds = [s27.output_indices[0], s27.output_indices[1]]
         cone_sim = full.restricted(seeds)
         from repro.algebra.triple import Triple

@@ -124,8 +124,8 @@ class TestPackedMode:
         assert "pick one" in capsys.readouterr().err
 
     def test_packed_run_journals_as_its_own_config(self, tmp_path, monkeypatch):
-        """The packed suite must be distinguishable in the journal, so the
-        two backends trend as separate configs."""
+        """The packed suite must be distinguishable in the journal, so its
+        cone-kernel sample trends as a separate config."""
         from repro.journal import read_journal
 
         monkeypatch.setenv("REPRO_JOURNAL_SHA", "a" * 40)

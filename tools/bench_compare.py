@@ -14,12 +14,11 @@ covering kernel attack):
   P0 justifications on the cone-restricted vs the full-netlist kernel
   (the inner loop PR 4 optimizes; see benchmarks/bench_justify_cone.py).
 
-``--packed`` switches to the simulation-backend entries (gated against
+``--packed`` switches to the compiled cone-kernel entry (gated against
 ``benchmarks/BENCH_PR8.json``): the PR 4 cone-justification sample run
-on the ``packed`` bit-parallel {0,1,x} kernel (``justify_cone_packed``)
-and on the ``numpy`` reference (``justify_cone_numpy``), so the
-committed file documents the packed speedup and CI notices either
-backend drifting.
+on the bit-parallel {0,1,x} kernel (``justify_cone_packed``).  The
+baseline's ``justify_cone_numpy`` entry measured the numpy cone kernel,
+which no longer exists; it is reported as missing from the run.
 
 ``--cached`` switches to the persistent artifact-store entries (gated
 against ``benchmarks/BENCH_PR9.json``), measured on ``s1423_proxy`` at
@@ -220,12 +219,9 @@ def bench_justify_cone(repeats: int) -> dict[str, float]:
 
 
 def bench_justify_packed(repeats: int) -> dict[str, float]:
-    """The PR 4 justification sample, once per simulation backend.
+    """The ``s641_proxy`` justification sample on the compiled cone kernel.
 
-    Same circuit, sample and RNG recipe as :func:`bench_justify_cone`
-    (so ``justify_cone_numpy`` is directly comparable to the committed
-    ``justify_cone`` series), with the backend selected explicitly
-    instead of via ``REPRO_BACKEND``.
+    Same circuit, sample and RNG recipe as :func:`bench_justify_cone`.
     """
     import random
 
@@ -233,7 +229,6 @@ def bench_justify_packed(repeats: int) -> dict[str, float]:
     from repro.atpg.requirements import RequirementSet
     from repro.engine import Engine
     from repro.experiments import get_scale
-    from repro.sim.batch import BatchSimulator
 
     scale = get_scale("default")
     engine = Engine()
@@ -250,19 +245,9 @@ def bench_justify_packed(repeats: int) -> dict[str, float]:
         for requirements in sample:
             justifier.justify(requirements, rng)
 
-    results = {}
-    for name, backend in (
-        ("justify_cone_numpy", "numpy"),
-        ("justify_cone_packed", "packed"),
-    ):
-        justifier = Justifier(
-            session.netlist,
-            simulator=BatchSimulator(session.netlist, backend=backend),
-            use_cones=True,
-        )
-        justify_all(justifier)  # warm the cone/support caches
-        results[name] = best_of(repeats, lambda: justify_all(justifier))
-    return results
+    justifier = Justifier(session.netlist, use_cones=True)
+    justify_all(justifier)  # warm the cone/support caches
+    return {"justify_cone_packed": best_of(repeats, lambda: justify_all(justifier))}
 
 
 def bench_sharded(repeats: int) -> dict[str, float]:
@@ -525,8 +510,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--packed",
         action="store_true",
-        help="run the simulation-backend entries (numpy vs packed cone "
-        "justification) instead of the default set "
+        help="run the compiled cone-kernel justification entry instead "
+        "of the default set "
         "(defaults --out/--baseline to BENCH_PR8.json)",
     )
     parser.add_argument(
